@@ -192,7 +192,8 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
     for e in range(g.m):
         if not builder.try_insert(e):
             partial = ForestDecomposition(g, kappa, tuple(builder.assignment))
-            logger.debug("edge %d rejected after %d exchanges-free insertions", e, e)
+            logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests",
+                         e, *g.edges[e], kappa)
             return violating_set_from_failed_decomposition(g, partial, e, kappa), None
     return None, ForestDecomposition(g, kappa, tuple(builder.assignment))
 

@@ -68,7 +68,8 @@ def _superset_violation(d0: Orientation, u0: frozenset[int], k: int, l: int) -> 
             continue
         if tl in u0:
             continue  # deleted together with u0
-        assert hd not in u0, "orientation is not u0-source"
+        if hd in u0:
+            raise ContractError("orientation is not u0-source")
         arcs.append((sub[tl], sub[hd], 1))
     for v in keep:
         mult = k - d0.indeg[v]
@@ -108,7 +109,9 @@ def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate 
     raw = k * len(found) - l
     bound = raw if t == 2 else max(raw, 0)
     induced = induced_edge_count(g, found)
-    assert induced > bound
+    if induced <= bound:
+        raise ContractError(f"rooted query returned a non-violating set: "
+                            f"{induced} induced edges, bound {bound}")
     return Certificate(frozenset(found), induced, bound)
 
 

@@ -2,11 +2,25 @@
 
 A digraph is rooted eta-arc-connected from s when every nonempty vertex set
 avoiding s has at least eta entering arcs (counting multiplicities).  For
-eta = 1 a single reachability search settles it; for eta >= 2 we run, for
-each sink in increasing id order, at most eta rounds of augmenting-path
-search on the capacitated arc network and return the residual-unreachable
-side at the first sink with fewer than eta arc-disjoint paths.  No
-minimality of the returned set is guaranteed.
+eta = 1 a single reachability search settles it.  For eta >= 2 the search
+is local.  A root side, initially {s}, collects the sinks already shown to
+have eta arc-disjoint paths from s.  Each remaining sink, in increasing id
+order, asks for eta augmenting paths from the root side, each found by a
+breadth-first search backward from the sink over the residual network that
+stops at the first root-side vertex; the flow is kept only on the arcs this
+sink's paths touch.  A sink that gets eta paths joins the root side, which
+is sound by Menger: no set with fewer than eta entering arcs can contain
+it.  So a sink with eta arcs from the root side settles at the first level
+of its search, and most searches stay near their sink.
+
+The first sink short of eta paths is the lowest-id sink that the root
+cannot reach by eta arc-disjoint paths, since the root side holds only
+sinks no small cut separates from s.  For the same reason every minimum
+cut between s and that sink avoids the root side, so the returned set, the
+complement of the residual forward reach from the whole root side, is the
+maximal sink side of a minimum s-sink cut: the same set a search from s
+alone would return, whatever maximum flow it found.  No minimality of the
+returned set is guaranteed.
 """
 from __future__ import annotations
 
@@ -59,49 +73,72 @@ def rooted_violation(d: RootedDigraph, eta: int) -> set[int]:
         raise InputError("eta must be nonnegative")
     if eta == 0:
         return set()
-    reach = _reachable(d)
-    if eta == 1:
-        if len(reach) == d.num_nodes:
-            return set()
-        return set(range(d.num_nodes)) - reach
     n = d.num_nodes
-    arc_tail = [a[0] for a in d.arcs]
-    arc_head = [a[1] for a in d.arcs]
-    arc_mult = [a[2] for a in d.arcs]
+    if eta == 1:
+        reach = _reachable(d)
+        if len(reach) == n:
+            return set()
+        return set(range(n)) - reach
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int] = []
     out_arcs: list[list[int]] = [[] for _ in range(n)]
     in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(len(d.arcs)):
-        out_arcs[arc_tail[i]].append(i)
-        in_arcs[arc_head[i]].append(i)
+    for tail, head, mult in d.arcs:
+        if tail != head and mult > 0:
+            out_arcs[tail].append(len(caps))
+            in_arcs[head].append(len(caps))
+            tails.append(tail)
+            heads.append(head)
+            caps.append(mult)
+    rooted = [False] * n
+    rooted[d.root] = True
     for sink in range(n):
-        if sink == d.root:
+        if rooted[sink]:
             continue
-        flow = [0] * len(d.arcs)
-        found = 0
-        while found < eta:
-            parent: dict[int, tuple[int, bool]] = {}  # node -> (arc, used_forward)
-            seen = {d.root}
-            queue = deque([d.root])
-            while queue and sink not in seen:
-                u = queue.popleft()
-                for i in out_arcs[u]:
-                    v = arc_head[i]
-                    if v not in seen and flow[i] < arc_mult[i]:
-                        seen.add(v)
+        flow: dict[int, int] = {}  # arc -> flow, on the arcs this sink's paths touch
+        for _ in range(eta):
+            # parent[v] = (arc, forward): the residual step from v toward the sink
+            parent: dict[int, tuple[int, bool]] = {sink: (-1, True)}
+            queue = deque([sink])
+            start = -1
+            while queue and start < 0:
+                w = queue.popleft()
+                for i in in_arcs[w]:
+                    v = tails[i]
+                    if v not in parent and flow.get(i, 0) < caps[i]:
                         parent[v] = (i, True)
                         queue.append(v)
-                for i in in_arcs[u]:
-                    v = arc_tail[i]
-                    if v not in seen and flow[i] > 0:
-                        seen.add(v)
+                        if rooted[v]:
+                            start = v
+                for i in out_arcs[w]:
+                    v = heads[i]
+                    if v not in parent and flow.get(i, 0) > 0:
                         parent[v] = (i, False)
                         queue.append(v)
-            if sink not in seen:
-                return set(range(n)) - seen
-            node = sink
-            while node != d.root:
+            if start < 0:
+                break
+            node = start
+            while node != sink:
                 i, forward = parent[node]
-                flow[i] += 1 if forward else -1
-                node = arc_tail[i] if forward else arc_head[i]
-            found += 1
+                flow[i] = flow.get(i, 0) + (1 if forward else -1)
+                node = heads[i] if forward else tails[i]
+        else:
+            rooted[sink] = True
+            continue
+        seen = {v for v in range(n) if rooted[v]}
+        queue = deque(seen)
+        while queue:
+            u = queue.popleft()
+            for i in out_arcs[u]:
+                v = heads[i]
+                if v not in seen and flow.get(i, 0) < caps[i]:
+                    seen.add(v)
+                    queue.append(v)
+            for i in in_arcs[u]:
+                v = tails[i]
+                if v not in seen and flow.get(i, 0) > 0:
+                    seen.add(v)
+                    queue.append(v)
+        return set(range(n)) - seen
     return set()

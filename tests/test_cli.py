@@ -107,6 +107,16 @@ def test_orient_output(capsys, triangle_file, k4_file):
     assert json.loads(out)["violating_set"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("command", ["decompose", "orient"])
+def test_kappa_below_one_is_a_parameter_error(capsys, tmp_path, command):
+    path = tmp_path / "path.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    code, out, err = _run(capsys, [command, "--kappa", "0", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: kappa")
+
+
 def test_gen_deterministic_and_parses(capsys):
     argv = ["gen", "--kind", "tight-henneberg", "--n", "10", "--k", "2", "--l", "3", "--seed", "7"]
     code1, out1, _ = _run(capsys, argv)

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -44,8 +45,10 @@ def test_tree_single_forest():
     assert fd.class_edges(0) == [0, 1, 2, 3]
 
 
-def test_triangle_needs_two_forests():
-    cert, fd = forest_decomposition(TRIANGLE, 1)
+def test_triangle_needs_two_forests(caplog):
+    with caplog.at_level(logging.DEBUG, logger="klsparse"):
+        cert, fd = forest_decomposition(TRIANGLE, 1)
+    assert "edge 2 (0, 2) rejected: no exchange fits it into 1 forests" in caplog.text
     assert fd is None
     assert cert.vertices == frozenset({0, 1, 2})
     assert cert.induced_edges == 3 > 2 == cert.bound

@@ -1,9 +1,13 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import klsparse
 from klsparse import (
     ContractError,
     Graph,
@@ -157,6 +161,29 @@ def test_superset_sparsity_contract_checks():
         check_superset_sparsity(d, {1}, 2, 3)
     with pytest.raises(ContractError):
         check_superset_sparsity(Orientation(Graph(2, ())), {0}, 2, 5)  # l > (t+1)k
+
+
+def test_superset_certificate_is_checked_under_optimize():
+    # A rooted query answering with a set that does not violate must raise
+    # even when asserts are stripped.
+    script = """
+import klsparse.recognize as recognize
+from klsparse import ContractError, Graph, Orientation, check_superset_sparsity
+assert False, "asserts are live"
+recognize.rooted_violation = lambda d, eta: {0}
+try:
+    check_superset_sparsity(Orientation(Graph(3, ((0, 1),))), {0}, 2, 3)
+except ContractError:
+    print("raised")
+"""
+    src = os.path.dirname(os.path.dirname(klsparse.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "raised"
+
+
+def test_one_edge_low_range_is_sparse():
+    assert check_sparsity(Graph(20_000, ((0, 1),)), 2, 2).sparse
 
 
 def test_saturated_violation_k4_star_tree():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 from klsparse import RootedDigraph, rooted_violation
 
@@ -15,6 +16,48 @@ def _violation_exists_brute(d: RootedDigraph, eta: int) -> bool:
             if _indegree(d, set(xs)) < eta:
                 return True
     return False
+
+
+def _reference_violation(d: RootedDigraph, eta: int) -> set[int]:
+    """The global per-sink search: a fresh flow and forward searches from the root."""
+    if eta == 0:
+        return set()
+    n = d.num_nodes
+    out_arcs: list[list[int]] = [[] for _ in range(n)]
+    in_arcs: list[list[int]] = [[] for _ in range(n)]
+    for i, (tail, head, _) in enumerate(d.arcs):
+        out_arcs[tail].append(i)
+        in_arcs[head].append(i)
+    for sink in range(n):
+        if sink == d.root:
+            continue
+        flow = [0] * len(d.arcs)
+        for _ in range(eta):
+            parent: dict[int, tuple[int, bool]] = {}  # node -> (arc, used_forward)
+            seen = {d.root}
+            queue = deque([d.root])
+            while queue and sink not in seen:
+                u = queue.popleft()
+                for i in out_arcs[u]:
+                    v = d.arcs[i][1]
+                    if v not in seen and flow[i] < d.arcs[i][2]:
+                        seen.add(v)
+                        parent[v] = (i, True)
+                        queue.append(v)
+                for i in in_arcs[u]:
+                    v = d.arcs[i][0]
+                    if v not in seen and flow[i] > 0:
+                        seen.add(v)
+                        parent[v] = (i, False)
+                        queue.append(v)
+            if sink not in seen:
+                return set(range(n)) - seen
+            node = sink
+            while node != d.root:
+                i, forward = parent[node]
+                flow[i] += 1 if forward else -1
+                node = d.arcs[i][0] if forward else d.arcs[i][1]
+    return set()
 
 
 def test_star_is_rooted_one_connected():
@@ -95,3 +138,20 @@ def test_monotonicity_in_eta():
         # once a violation appears it persists for larger eta
         for small, big in zip(empties, empties[1:]):
             assert small or not big
+
+
+def test_same_set_as_global_search():
+    # r=0, t=1, a=2, b=3, c=4, d=5, e=6: the shortest path r-a-b-t comes first,
+    # and t's second path r-c-b-a-d-e-t must cancel the flow on a->b.
+    cancelling = [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1), (4, 3, 1),
+                  (2, 5, 1), (5, 6, 1), (6, 1, 1)]
+    d = RootedDigraph(7, cancelling, 0)
+    assert rooted_violation(d, 2) == _reference_violation(d, 2) == {2, 5, 6}
+    rng = random.Random(62)
+    for _ in range(5000):
+        n = rng.randint(1, 9)
+        arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3))
+                for _ in range(rng.randint(0, 3 * n))]
+        d = RootedDigraph(n, arcs, rng.randrange(n))
+        eta = rng.randint(1, 4)
+        assert rooted_violation(d, eta) == _reference_violation(d, eta), (arcs, d.root, eta)
