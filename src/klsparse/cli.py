@@ -1,18 +1,19 @@
 """Command-line front end: check, decompose, orient, gen, oracle, bench.
 
 Exit codes: 0 means sparse (or plain success for gen/bench), 1 means a
-certified violation was found, 2 means invalid input or parameters.
+certified violation was found, 2 means invalid input or parameters, and 3
+means an internal error, so that a crash never reads as a violation.
 Set SPARSITY_LOG=info or SPARSITY_LOG=debug for diagnostics on stderr.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
 import sys
 import time
+import traceback
 
 from .forests import forest_decomposition
 from .graph import Graph, InputError, ParameterError, SparsityParams, parse_edge_list
@@ -119,13 +120,8 @@ def _cmd_bench(args) -> int:
             for algorithm in algorithms:
                 jobs.append((algorithm, args.k, args.l, args.kind, n, seed))
     print("algorithm,k,l,n,m,seed,ns,verdict")
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            for row in pool.map(_bench_one, jobs):
-                print(row)
-    else:
-        for job in jobs:
-            print(_bench_one(job))
+    for job in jobs:
+        print(_bench_one(job))
     return 0
 
 
@@ -173,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--algorithms", default="main,pebble")
     p_bench.add_argument("--kind", choices=GENERATOR_KINDS, default="random-edges")
-    p_bench.add_argument("--parallel", type=int, default=1)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -202,6 +197,10 @@ def main(argv=None) -> int:
     except (InputError, ParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

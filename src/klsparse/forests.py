@@ -4,10 +4,12 @@ Edges are inserted one at a time in input order.  An edge first tries each
 class directly (union-find); failing that, a breadth-first exchange search
 looks for an augmenting sequence "edge x enters class i by displacing an
 edge on the tree path between x's endpoints".  A genuinely rejected edge
-proves the graph has no kappa-forest partition, and a violating vertex set
-is extracted by orienting the accepted forest edges away from per-tree
-roots and running one insertion attempt of the rejected edge: the vertices
-swept by the final failed search form the certificate.
+proves the graph has no kappa-forest partition.  The violating vertex set
+comes from the shared orientation engine: the accepted forest edges are
+oriented away from per-tree roots (``orient_from_forests``), and one
+``Orientation.gather`` on the rejected edge's endpoints tries to make room
+for it; the vertices that still reach the endpoints when it stalls form
+the certificate.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Certificate, ContractError, Graph, InputError, SparsityParams, make_certificate
+from .orient import orient_from_forests
 
 logger = logging.getLogger(__name__)
 
@@ -204,74 +207,17 @@ def violating_set_from_failed_decomposition(
     """Extract a (k,k)-violating set after an edge could not be inserted.
 
     The accepted edges are oriented from per-tree roots toward the leaves,
-    giving every vertex indegree at most k.  One pebble-style insertion
-    attempt then tries to lower the indegree sum on the rejected edge's
-    endpoints below k by reversing paths from spare-capacity vertices; the
-    vertices scanned by the final failed search are the certificate.
+    giving every vertex indegree at most k.  One gather then tries to bring
+    the indegree sum on the rejected edge's endpoints down to k - 1, which
+    would make room for the edge; it gets stuck exactly when the accepted
+    edges already fill some set around both endpoints, and the vertices
+    that still reach the endpoints are the certificate.
     """
     params = SparsityParams(k, k)
     ru, rv = g.edges[rejected_edge]
     if ru == rv:
         return make_certificate(g, params, {ru})
-
-    # Orient each accepted tree from its lowest-id root.
-    heads: dict[int, int] = {}
-    indeg = [0] * g.n
-    in_arcs: list[list[int]] = [[] for _ in range(g.n)]
-    for i in range(partial.kappa):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for e in partial.class_edges(i):
-            u, v = g.edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        seen = [False] * g.n
-        for root in range(g.n):
-            if seen[root] or not adj[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w, e in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        heads[e] = w
-                        indeg[w] += 1
-                        in_arcs[w].append(e)
-                        queue.append(w)
-
-    targets = (ru, rv)
-    while indeg[ru] + indeg[rv] > k - 1:
-        parent: dict[int, int] = {}
-        visited = {ru, rv}
-        queue = deque(targets)
-        slack = None
-        while queue:
-            x = queue.popleft()
-            for e in in_arcs[x]:
-                if heads[e] != x:
-                    continue  # stale entry from an earlier reversal
-                u, v = g.edges[e]
-                tl = u if v == x else v
-                if tl in visited:
-                    continue
-                visited.add(tl)
-                parent[tl] = e
-                if indeg[tl] < k:
-                    slack = tl
-                    break
-                queue.append(tl)
-            if slack is not None:
-                break
-        if slack is None:
-            return make_certificate(g, params, visited)
-        node = slack
-        while node not in targets:
-            e = parent[node]
-            nxt = heads[e]
-            heads[e] = node
-            indeg[node] += 1
-            indeg[nxt] -= 1
-            in_arcs[node].append(e)
-            node = nxt
-    raise ContractError("rejected edge was insertable; partial decomposition not maximal")
+    stuck = orient_from_forests(partial).gather((ru, rv), k, k - 1)
+    if stuck is None:
+        raise ContractError("rejected edge was insertable; partial decomposition not maximal")
+    return make_certificate(g, params, stuck)

@@ -1,12 +1,20 @@
-"""Bounded-indegree orientations and augmenting-path reorientation.
+"""Bounded-indegree orientations and the gather that repairs them.
 
 An orientation with all indegrees at most kappa exists iff no vertex set X
 induces more than kappa*|X| edges; the search is encoded as a feasible
 circulation over reversal indicators and solved by one max-flow call.  An
 infeasible instance yields a Hoffman-violating set, which is exactly such
-an X.  Reorientation toward a prescribed zero-indegree set uses path
-reversals; when it stalls, the set of vertices that still reach the target
-certifies the obstruction.
+an X.
+
+``Orientation`` is the one mutable engine every range shares: edge
+endpoints, directions, indegrees, and in-lists that are built on the first
+search and kept current after it.  Its one search, ``gather`` (the
+pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
+moves indegree off a target set by reversing backward paths to spare
+vertices; when it stalls, the vertices that still reach the targets
+certify the obstruction.  ``reorient_to_source`` gathers on a copy, the
+extended-range driver gathers in place before each insertion, and the
+forest certificate gathers on the accepted forests.
 """
 from __future__ import annotations
 
@@ -21,60 +29,123 @@ if TYPE_CHECKING:
 
 
 class Orientation:
-    """Per-edge directions over a Graph, with cached indegrees.
+    """The mutable orientation engine: edges, their directions, indegrees.
 
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
-    reversing them is a no-op.
+    reversing them is a no-op.  Per-vertex in-lists are built on the first
+    call that needs them and then kept current by ``reverse`` and
+    ``add_edge``, so an orientation that is never searched never pays for
+    them.
     """
 
-    __slots__ = ("graph", "rev", "indeg")
+    __slots__ = ("n", "edges", "rev", "indeg", "_inc")
 
     def __init__(self, graph: Graph, rev: list[bool] | None = None):
-        self.graph = graph
-        self.rev = [False] * graph.m if rev is None else list(rev)
-        if len(self.rev) != graph.m:
+        rev = [False] * graph.m if rev is None else list(rev)
+        if len(rev) != graph.m:
             raise ContractError("direction vector length must equal edge count")
-        indeg = [0] * graph.n
-        for e, (u, v) in enumerate(graph.edges):
-            indeg[u if self.rev[e] and u != v else v] += 1
+        self._set(graph.n, list(graph.edges), rev)
+
+    @classmethod
+    def _from_arcs(cls, n: int, arcs: list[tuple[int, int]]) -> "Orientation":
+        """Each trusted ``(tail, head)`` pair as an edge directed tail to head."""
+        d = cls.__new__(cls)
+        d._set(n, arcs, [False] * len(arcs))
+        return d
+
+    def _set(self, n: int, edges: list[tuple[int, int]], rev: list[bool]) -> None:
+        self.n, self.edges, self.rev, self._inc = n, edges, rev, None
+        indeg = [0] * n
+        for (u, v), r in zip(edges, rev):
+            indeg[u if r else v] += 1
         self.indeg = indeg
 
     def head(self, e: int) -> int:
-        u, v = self.graph.edges[e]
-        return u if self.rev[e] and u != v else v
+        u, v = self.edges[e]
+        return u if self.rev[e] else v
 
     def tail(self, e: int) -> int:
-        u, v = self.graph.edges[e]
-        return v if self.rev[e] and u != v else u
+        u, v = self.edges[e]
+        return v if self.rev[e] else u
 
     def reverse(self, e: int) -> None:
-        u, v = self.graph.edges[e]
+        u, v = self.edges[e]
         if u == v:
             return
         old_head = self.head(e)
         self.rev[e] = not self.rev[e]
+        new_head = u + v - old_head
         self.indeg[old_head] -= 1
-        self.indeg[self.head(e)] += 1
+        self.indeg[new_head] += 1
+        if self._inc is not None:
+            self._inc[old_head].remove(e)
+            self._inc[new_head].append(e)
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Append edge ``(u, v)`` directed ``u -> v``; its id is the old edge count."""
+        self.edges.append((u, v))
+        self.rev.append(False)
+        self.indeg[v] += 1
+        if self._inc is not None:
+            self._inc[v].append(len(self.edges) - 1)
 
     def copy(self) -> "Orientation":
-        return Orientation(self.graph, self.rev)
-
-    def out_adjacency(self) -> list[list[int]]:
-        """Edge ids grouped by current tail, in edge-id order."""
-        out: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for e in range(self.graph.m):
-            out[self.tail(e)].append(e)
-        return out
+        d = Orientation.__new__(Orientation)
+        d._set(self.n, list(self.edges), list(self.rev))
+        return d
 
     def in_adjacency(self) -> list[list[int]]:
-        inc: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for e in range(self.graph.m):
-            inc[self.head(e)].append(e)
-        return inc
+        """Edge ids grouped by current head; kept current, so do not mutate."""
+        if self._inc is None:
+            inc: list[list[int]] = [[] for _ in range(self.n)]
+            for e, ((u, v), r) in enumerate(zip(self.edges, self.rev)):
+                inc[u if r else v].append(e)
+            self._inc = inc
+        return self._inc
+
+    def induced(self, xs) -> int:
+        """Number of edges with both endpoints in the set xs."""
+        return sum(1 for u, v in self.edges if u in xs and v in xs)
 
     def max_indegree(self) -> int:
         return max(self.indeg, default=0)
+
+    def gather(self, targets, k: int, budget: int) -> set[int] | None:
+        """Reverse paths until the indegree sum on targets is at most budget.
+
+        Assumes every indegree is at most k.  One step searches breadth-first backward from the targets to the
+        first vertex outside them with indegree below k and reverses that
+        path, which moves one unit of indegree off the targets.  Returns
+        None on success.  When no such vertex reaches the targets, returns
+        the vertices that do (targets included): every one outside the
+        targets has indegree k and no arc enters the set, so it is the
+        unique minimal X containing the targets that maximizes
+        i(X) - k|X - targets|, a set fixed by the graph alone.
+        """
+        inc, indeg = self.in_adjacency(), self.indeg
+        while sum(indeg[v] for v in targets) > budget:
+            parent: dict[int, int] = {}
+            seen = set(targets)
+            queue = deque(targets)
+            slack = -1
+            while queue and slack < 0:
+                for e in inc[queue.popleft()]:
+                    tl = self.tail(e)
+                    if tl not in seen:
+                        seen.add(tl)
+                        parent[tl] = e
+                        if indeg[tl] < k:
+                            slack = tl
+                            break
+                        queue.append(tl)
+            if slack < 0:
+                return seen
+            while slack in parent:
+                e = parent[slack]
+                slack = self.head(e)
+                self.reverse(e)
+        return None
 
 
 def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orientation | None]:
@@ -89,6 +160,8 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     one collector node; negative lower bounds on the collector arcs are
     split into a forward arc clamped at zero and a reverse arc carrying the
     slack, which leaves feasibility and the violating-set map unchanged.
+    Isolated vertices get no collector arcs: they could carry no flow, and
+    they never belong to a violating set.
     """
     if kappa < 1:
         raise ContractError("kappa must be positive")
@@ -98,20 +171,24 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     d = Orientation(g)
     arcs: list[tuple[int, int, int, int]] = [(u, v, 0, 1) for u, v in g.edges]
     for u in range(n):
+        if not deg[u]:
+            continue
         b = d.indeg[u] - kappa
         arcs.append((u, collector, max(b, 0), deg[u]))
         if b < 0:
             arcs.append((collector, u, 0, -b))
     circulation, hoffman = feasible_circulation(CirculationNetwork(n + 1, arcs))
     if circulation is None:
-        assert hoffman is not None and collector not in hoffman and hoffman
+        hoffman = {v for v in hoffman if v != collector and deg[v]}
         induced = induced_edge_count(g, hoffman)
-        assert induced > kappa * len(hoffman)
+        if not hoffman or induced <= kappa * len(hoffman):
+            raise ContractError(f"circulation returned a non-violating Hoffman set {sorted(hoffman)}")
         return Certificate(frozenset(hoffman), induced, kappa * len(hoffman)), None
     for e in range(g.m):
         if circulation[e]:
             d.reverse(e)
-    assert d.max_indegree() <= kappa
+    if d.max_indegree() > kappa:
+        raise ContractError("circulation left an indegree above kappa")
     return None, d
 
 
@@ -120,70 +197,27 @@ def reorient_to_source(d: Orientation, k: int, u0: Iterable[int]) -> tuple[Certi
 
     Returns ``(None, d0)`` on success (the input orientation is not
     mutated), or ``(certificate, None)`` where the certificate set T
-    strictly contains u0 and satisfies i_G(T) > k|T| - |u0|*k.
-
-    Each iteration finds a directed path from a vertex with spare indegree
-    capacity to u0 (breadth-first from all such vertices at once) and
-    reverses it, which lowers the indegree sum on u0 by exactly one.
+    strictly contains u0 and satisfies i_G(T) > k|T| - |u0|*k.  The work is
+    one ``gather`` on a copy of d.
     """
-    g = d.graph
     u0 = frozenset(u0)
     for v in u0:
-        if not 0 <= v < g.n:
+        if not 0 <= v < d.n:
             raise ContractError(f"u0 vertex {v} out of range")
     if d.max_indegree() > k:
         raise ContractError("orientation is not k-indegree-bounded")
-    for u, v in g.edges:
+    for u, v in d.edges:
         if u in u0 and v in u0:
             raise ContractError("u0 must be independent in the underlying graph")
     d0 = d.copy()
-    t = len(u0)
-    while any(d0.indeg[v] > 0 for v in u0):
-        out = d0.out_adjacency()
-        parent_arc: dict[int, int] = {}
-        sources = sorted(v for v in range(g.n) if v not in u0 and d0.indeg[v] < k)
-        queue = deque(sources)
-        seen = set(sources)
-        hit = None
-        while queue:
-            u = queue.popleft()
-            if u in u0:
-                hit = u
-                break
-            for e in out[u]:
-                w = d0.head(e)
-                if w not in seen:
-                    seen.add(w)
-                    parent_arc[w] = e
-                    queue.append(w)
-        if hit is None:
-            target = _backward_closure(d0, u0)
-            assert u0 < target
-            induced = induced_edge_count(g, target)
-            bound = k * len(target) - t * k
-            assert induced > bound
-            return Certificate(frozenset(target), induced, bound), None
-        node = hit
-        while node in parent_arc:
-            e = parent_arc[node]
-            node = d0.tail(e)
-            d0.reverse(e)
-    return None, d0
-
-
-def _backward_closure(d: Orientation, targets: frozenset[int]) -> set[int]:
-    """All vertices from which some target is reachable along arcs."""
-    inc = d.in_adjacency()
-    seen = set(targets)
-    queue = deque(targets)
-    while queue:
-        v = queue.popleft()
-        for e in inc[v]:
-            u = d.tail(e)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+    target = d0.gather(sorted(u0), k, 0)
+    if target is None:
+        return None, d0
+    induced = d0.induced(target)
+    bound = k * len(target) - len(u0) * k
+    if not u0 < target or induced <= bound:
+        raise ContractError(f"stuck reorientation returned a non-violating set {sorted(target)}")
+    return Certificate(frozenset(target), induced, bound), None
 
 
 def orient_from_forests(fd: "ForestDecomposition") -> Orientation:
@@ -191,31 +225,31 @@ def orient_from_forests(fd: "ForestDecomposition") -> Orientation:
 
     Each vertex gains at most one incoming arc per class, so the result is
     kappa-indegree-bounded.  Roots are the lowest vertex id of each tree.
+    Unassigned edges are left out; the others keep their relative order, so
+    a complete decomposition keeps the graph's edge ids.
     """
     g = fd.graph
-    rev = [False] * g.m
+    arcs: list[tuple[int, int] | None] = [None] * g.m
     for i in range(fd.kappa):
-        adj: dict[int, list[tuple[int, int]]] = {}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for e in fd.class_edges(i):
             u, v = g.edges[e]
-            adj.setdefault(u, []).append((v, e))
-            adj.setdefault(v, []).append((u, e))
-        visited: set[int] = set()
-        for root in sorted(adj):
-            if root in visited:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        seen = [False] * g.n
+        for root in range(g.n):
+            if seen[root] or not adj[root]:
                 continue
-            visited.add(root)
+            seen[root] = True
             queue = deque([root])
             while queue:
                 u = queue.popleft()
                 for w, e in adj[u]:
-                    if w in visited:
-                        continue
-                    visited.add(w)
-                    # orient u -> w: head must be the child w
-                    rev[e] = g.edges[e][1] != w
-                    queue.append(w)
-    d = Orientation(g, rev)
-    if d.max_indegree() > fd.kappa:
+                    if not seen[w]:
+                        seen[w] = True
+                        arcs[e] = (u, w)
+                        queue.append(w)
+    oriented = [a for a in arcs if a is not None]
+    if len(oriented) != len(fd.assignment) - fd.assignment.count(None):
         raise ContractError("forest classes do not form forests")
-    return d
+    return Orientation._from_arcs(g.n, oriented)

@@ -29,7 +29,6 @@ from .graph import (
     Graph,
     InputError,
     SparsityParams,
-    induced_edge_count,
     make_certificate,
     validate_input,
 )
@@ -55,14 +54,12 @@ def _superset_violation(d0: Orientation, u0: frozenset[int], k: int, l: int) -> 
     Assumes d0 is k-indegree-bounded and u0-source with t*k <= l <= (t+1)*k.
     Returns the violating vertex set (u0 included) or None.
     """
-    g = d0.graph
-    t = len(u0)
-    eta = l - t * k
-    keep = [v for v in range(g.n) if v not in u0]
+    eta = l - len(u0) * k
+    keep = [v for v in range(d0.n) if v not in u0]
     sub = {v: i for i, v in enumerate(keep)}
     root = len(keep)
     arcs: list[tuple[int, int, int]] = []
-    for e in range(g.m):
+    for e in range(len(d0.edges)):
         tl, hd = d0.tail(e), d0.head(e)
         if tl == hd:
             continue
@@ -89,18 +86,17 @@ def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate 
     SparsityParams.
     """
     u0 = frozenset(u0)
-    g = d0.graph
     t = len(u0)
     if not t * k <= l <= (t + 1) * k:
         raise ContractError(f"need {t}k <= l <= {t + 1}k, got k={k}, l={l}")
     if d0.max_indegree() > k:
         raise ContractError("orientation is not k-indegree-bounded")
     for v in u0:
-        if not 0 <= v < g.n:
+        if not 0 <= v < d0.n:
             raise ContractError(f"u0 vertex {v} out of range")
         if d0.indeg[v] != 0:
             raise ContractError("orientation is not u0-source")
-    for u, v in g.edges:
+    for u, v in d0.edges:
         if u in u0 and v in u0:
             raise ContractError("u0 must be independent")
     found = _superset_violation(d0, u0, k, l)
@@ -108,7 +104,7 @@ def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate 
         return None
     raw = k * len(found) - l
     bound = raw if t == 2 else max(raw, 0)
-    induced = induced_edge_count(g, found)
+    induced = d0.induced(found)
     if induced <= bound:
         raise ContractError(f"rooted query returned a non-violating set: "
                             f"{induced} induced edges, bound {bound}")
@@ -160,7 +156,8 @@ def _centroid(tree_adj: list[list[int]]) -> int:
         top = max(heaviest[v], n - size[v])
         if top <= n // 2 and best is None:
             best = v
-    assert best is not None
+    if best is None:
+        raise ContractError("tree has no centroid")
     return best
 
 
@@ -185,18 +182,17 @@ def _tree_components(tree_adj: list[list[int]], c: int) -> list[list[int]]:
     return comps
 
 
-def _induce_orientation(
-    d: Orientation, inc: list[list[int]], comp: list[int]
-) -> tuple[Orientation, dict[int, int]]:
+def _induce_orientation(d: Orientation, comp: list[int]) -> tuple[Orientation, dict[int, int]]:
     """Sub-orientation on comp: keep arcs whose tail also lies in comp."""
     idx = {v: i for i, v in enumerate(comp)}
-    edges = []
+    inc = d.in_adjacency()
+    arcs = []
     for v in comp:
         for e in inc[v]:
             tl = d.tail(e)
             if tl in idx:
-                edges.append((idx[tl], idx[v]))
-    return Orientation(Graph(len(comp), tuple(edges))), idx
+                arcs.append((idx[tl], idx[v]))
+    return Orientation._from_arcs(len(comp), arcs), idx
 
 
 def _saturated_worker(
@@ -209,9 +205,8 @@ def _saturated_worker(
     found = _superset_violation(d0, frozenset((c,)), k, l)
     if found is not None:
         return {labels[v] for v in found}
-    inc = d.in_adjacency()
     for comp in _tree_components(tree_adj, c):
-        sub_d, idx = _induce_orientation(d, inc, comp)
+        sub_d, idx = _induce_orientation(d, comp)
         sub_tree = [[idx[w] for w in tree_adj[v] if w in idx] for v in comp]
         result = _saturated_worker(sub_d, sub_tree, [labels[v] for v in comp], k, l)
         if result is not None:
@@ -228,15 +223,15 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
     """
     if p.t != 1:
         raise ContractError("saturated_violation requires k < l < 2k")
-    g = d.graph
+    n = d.n
     tree_edges = list(tree_edges)
-    if len(tree_edges) != g.n - 1:
+    if len(tree_edges) != n - 1:
         raise ContractError("tree must span the orientation's vertex set")
-    tree_adj: list[list[int]] = [[] for _ in range(g.n)]
+    tree_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in tree_edges:
         tree_adj[u].append(v)
         tree_adj[v].append(u)
-    reached = {0} if g.n else set()
+    reached = {0} if n else set()
     queue = deque(reached)
     while queue:
         u = queue.popleft()
@@ -244,12 +239,12 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
             if w not in reached:
                 reached.add(w)
                 queue.append(w)
-    if len(reached) != g.n:
+    if len(reached) != n:
         raise ContractError("tree must span the orientation's vertex set")
-    found = _saturated_worker(d, tree_adj, list(range(g.n)), p.k, p.l)
+    found = _saturated_worker(d, tree_adj, list(range(n)), p.k, p.l)
     if found is None:
         return None
-    return make_certificate(g, p, found)
+    return make_certificate(Graph(n, tuple(d.edges)), p, found)
 
 
 def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
@@ -263,7 +258,6 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     if cert is not None:
         return RecognitionResult(False, make_certificate(g, p, cert.vertices))
     d = orient_from_forests(fd)
-    inc = d.in_adjacency()
     for i in range(p.l - p.k):
         class_adj: list[list[int]] = [[] for _ in range(g.n)]
         for e in fd.class_edges(i):
@@ -271,7 +265,7 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
             class_adj[u].append(v)
             class_adj[v].append(u)
         for comp in fd.components(i):
-            sub_d, idx = _induce_orientation(d, inc, comp)
+            sub_d, idx = _induce_orientation(d, comp)
             sub_tree = [[idx[w] for w in class_adj[v]] for v in comp]
             found = _saturated_worker(sub_d, sub_tree, comp, p.k, p.l)
             if found is not None:
@@ -291,14 +285,14 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
     reason = validate_input(g, p)
     if reason is not None:
         raise InputError(reason)
-    d = Orientation(Graph(g.n, ()))
+    d = Orientation._from_arcs(g.n, [])
     for u, v in g.edges:
-        cert, d2 = reorient_to_source(d, p.k, (u, v))
-        assert cert is None, "accepted subgraph lost (k,2k)-sparsity"
-        found = _superset_violation(d2, frozenset((u, v)), p.k, p.l + 1)
+        if d.gather((u, v), p.k, 0) is not None:
+            raise ContractError("accepted subgraph lost (k,2k)-sparsity")
+        found = _superset_violation(d, frozenset((u, v)), p.k, p.l + 1)
         if found is not None:
             return RecognitionResult(False, make_certificate(g, p, found))
-        d = Orientation(Graph(g.n, d2.graph.edges + ((u, v),)), d2.rev + [False])
+        d.add_edge(u, v)
     return RecognitionResult(True, None)
 
 

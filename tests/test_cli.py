@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from klsparse import Graph, format_edge_list, parse_edge_list
+from klsparse import ContractError, Graph, format_edge_list, parse_edge_list
 from klsparse.cli import main
 
 K4_TEXT = format_edge_list(Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4))))
@@ -117,6 +117,17 @@ def test_kappa_below_one_is_a_parameter_error(capsys, tmp_path, command):
     assert err.startswith("error: kappa")
 
 
+def test_internal_error_exits_3(capsys, monkeypatch, triangle_file):
+    # a crash must not exit 1, which reads as "certified violation"
+    def crash(g, k, l):
+        raise ContractError("broken invariant")
+    monkeypatch.setattr("klsparse.cli.check_sparsity", crash)
+    code, out, err = _run(capsys, ["check", "--k", "2", "--l", "3", triangle_file])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == "error: internal: ContractError: broken invariant"
+
+
 def test_gen_deterministic_and_parses(capsys):
     argv = ["gen", "--kind", "tight-henneberg", "--n", "10", "--k", "2", "--l", "3", "--seed", "7"]
     code1, out1, _ = _run(capsys, argv)
@@ -167,16 +178,6 @@ def test_bench_deterministic_instances(capsys):
     rows1 = [r.rsplit(",", 2)[0] for r in out1.splitlines()]
     rows2 = [r.rsplit(",", 2)[0] for r in out2.splitlines()]
     assert rows1 == rows2  # identical apart from timing and verdict columns
-
-
-def test_bench_parallel_matches_sequential(capsys):
-    argv = ["bench", "--k", "2", "--l", "3", "--sizes", "12,16", "--reps", "2",
-            "--seed", "3", "--kind", "tight-henneberg"]
-    code1, out1, _ = _run(capsys, argv)
-    code2, out2, _ = _run(capsys, argv + ["--parallel", "2"])
-    assert code1 == code2 == 0
-    strip = lambda out: [r.rsplit(",", 2)[0] for r in out.splitlines()]
-    assert strip(out1) == strip(out2)
 
 
 def test_bench_rejects_unknown_algorithm(capsys):

@@ -9,9 +9,12 @@ from klsparse import (
     Graph,
     Orientation,
     bounded_orientation,
+    check_sparsity,
+    forest_decomposition,
     induced_edge_count,
     orient_from_forests,
     reorient_to_source,
+    violating_set_from_failed_decomposition,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -33,12 +36,32 @@ def _random_multigraph(rng: random.Random, n_max=7, m_max=14) -> Graph:
     return Graph(n, edges)
 
 
+def _minimal_maximizer(g: Graph, targets: set[int], k: int) -> frozenset[int]:
+    """The least X containing targets that maximizes i(X) - k|X - targets|, by brute force."""
+    others = [v for v in range(g.n) if v not in targets]
+    scored = []
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
+            xs = targets | set(extra)
+            scored.append((induced_edge_count(g, xs) - k * r, frozenset(xs)))
+    best = max(score for score, _ in scored)
+    maximizers = [xs for score, xs in scored if score == best]
+    least = min(maximizers, key=len)
+    assert all(least <= xs for xs in maximizers)
+    return least
+
+
 def test_orientation_indegree_cache_and_reverse():
     d = Orientation(TRIANGLE)
     assert d.indeg == [0, 1, 2]
+    assert d.in_adjacency() == [[], [0], [1, 2]]
     d.reverse(0)
     assert d.head(0) == 0 and d.tail(0) == 1
     assert d.indeg == [1, 0, 2]
+    d.add_edge(1, 0)
+    assert d.indeg == [2, 0, 2]
+    # the kept in-lists match ones built from scratch
+    assert d.in_adjacency() == d.copy().in_adjacency() == [[0, 3], [], [1, 2]]
 
 
 def test_loop_reversal_is_noop_and_counts_once():
@@ -98,6 +121,20 @@ def test_bounded_orientation_matches_brute_force():
             xs = cert.vertices
             assert induced_edge_count(g, xs) > kappa * len(xs)
     assert infeasible > 40
+
+
+def test_isolated_vertices_stay_out_of_the_circulation(monkeypatch):
+    import klsparse.orient as orient
+    sizes = []
+    solve = orient.feasible_circulation
+
+    def spy(net):
+        sizes.append(len(net.arcs))
+        return solve(net)
+
+    monkeypatch.setattr(orient, "feasible_circulation", spy)
+    assert check_sparsity(Graph(20_000, ((0, 1),)), 2, 2).sparse
+    assert sizes == [5]  # the edge, plus collector arcs at its two endpoints
 
 
 def test_reorient_single_arc():
@@ -191,3 +228,37 @@ def test_orient_from_forests_edgeless():
     g = Graph(5, ())
     d = orient_from_forests(ForestDecomposition(g, 2, ()))
     assert d.indeg == [0] * 5
+
+
+def test_stuck_certificates_depend_on_the_graph_only():
+    rng = random.Random(404)
+    stuck_reorient = stuck_forest = 0
+    for _ in range(600):
+        g = _random_multigraph(rng, n_max=7, m_max=12)
+        k = rng.randint(1, 2)
+        # (a) reorientation from a random bounded start returns the least maximizer
+        rev = [rng.random() < 0.5 for _ in range(g.m)]
+        d = Orientation(g, rev)
+        if d.max_indegree() > k:
+            d = bounded_orientation(g, k)[1]
+        if d is not None:
+            u0: set[int] = set()
+            for v in rng.sample(range(g.n), rng.randint(1, min(2, g.n))):
+                if all(not (a in u0 | {v} and b in u0 | {v}) for a, b in g.edges):
+                    u0.add(v)
+            cert, _ = reorient_to_source(d, k, u0)
+            if cert is not None:
+                stuck_reorient += 1
+                assert cert.vertices == _minimal_maximizer(g, u0, k)
+        # (b) the forest certificate is the least maximizer over the accepted edges
+        if g.has_loop():
+            continue
+        for j in range(g.m):
+            if forest_decomposition(Graph(g.n, g.edges[: j + 1]), k)[0] is not None:
+                accepted = forest_decomposition(Graph(g.n, g.edges[:j]), k)[1]
+                partial = ForestDecomposition(g, k, accepted.assignment + (None,) * (g.m - j))
+                cert = violating_set_from_failed_decomposition(g, partial, j, k)
+                stuck_forest += 1
+                assert cert.vertices == _minimal_maximizer(Graph(g.n, g.edges[:j]), set(g.edges[j]), k)
+                break
+    assert stuck_reorient > 30 and stuck_forest > 30

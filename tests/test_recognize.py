@@ -164,22 +164,28 @@ def test_superset_sparsity_contract_checks():
 
 
 def test_superset_certificate_is_checked_under_optimize():
-    # A rooted query answering with a set that does not violate must raise
-    # even when asserts are stripped.
+    # A rooted query, or a circulation, answering with a set that does not
+    # violate must raise even when asserts are stripped.
     script = """
+import klsparse.orient as orient
 import klsparse.recognize as recognize
-from klsparse import ContractError, Graph, Orientation, check_superset_sparsity
+from klsparse import ContractError, Graph, Orientation, bounded_orientation, check_superset_sparsity
 assert False, "asserts are live"
 recognize.rooted_violation = lambda d, eta: {0}
 try:
     check_superset_sparsity(Orientation(Graph(3, ((0, 1),))), {0}, 2, 3)
 except ContractError:
     print("raised")
+orient.feasible_circulation = lambda net: (None, {0})
+try:
+    bounded_orientation(Graph(3, ((0, 1),)), 1)
+except ContractError:
+    print("raised")
 """
     src = os.path.dirname(os.path.dirname(klsparse.__file__))
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "raised"
+    assert out.split() == ["raised", "raised"]
 
 
 def test_one_edge_low_range_is_sparse():
@@ -265,6 +271,31 @@ def test_main_lemma_iff_small_sweep():
             assert induced_edge_count(g, xs) > k * len(xs) - l
         checked += 1
     assert checked == 60
+
+
+def test_superset_certificate_is_the_same_for_every_orientation():
+    rng = random.Random(515)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, tuple(rng.choice(pairs) for _ in range(rng.randint(1, 10))))
+        k = rng.randint(1, 3)
+        u0: set[int] = set()
+        for v in rng.sample(range(n), rng.randint(0, 2)):
+            if all(not (a in u0 | {v} and b in u0 | {v}) for a, b in g.edges):
+                u0.add(v)
+        t = len(u0)
+        for l in range(t * k, (t + 1) * k + 1):
+            answers = set()
+            for rev in itertools.product((False, True), repeat=g.m):
+                d = Orientation(g, list(rev))
+                if d.max_indegree() <= k and all(d.indeg[v] == 0 for v in u0):
+                    cert = check_superset_sparsity(d, u0, k, l)
+                    answers.add(None if cert is None else cert.vertices)
+            assert len(answers) <= 1
+            found += answers not in (set(), {None})
+    assert found > 20
 
 
 def test_high_range_prefix_soundness():
