@@ -17,7 +17,7 @@ from .graph import (
 )
 from .flow import CirculationNetwork, FlowNetwork, feasible_circulation, max_flow
 from .orient import Orientation, bounded_orientation, orient_from_forests, reorient_to_source
-from .rooted import RootedDigraph, rooted_violation
+from .rooted import rooted_violation
 from .forests import ForestDecomposition, forest_decomposition, violating_set_from_failed_decomposition
 from .recognize import (
     RecognitionResult,
@@ -43,7 +43,6 @@ __all__ = [
     "Orientation",
     "ParameterError",
     "RecognitionResult",
-    "RootedDigraph",
     "SparsityParams",
     "bounded_orientation",
     "brute_force_check",

@@ -55,16 +55,28 @@ class ForestDecomposition:
     kappa: int
     assignment: tuple[int | None, ...]
 
+    def __post_init__(self):
+        self._classes: list[list[int]] = [[] for _ in range(self.kappa)]
+        for e, c in enumerate(self.assignment):
+            if c is not None:
+                self._classes[c].append(e)
+
     def class_edges(self, i: int) -> list[int]:
-        return [e for e, c in enumerate(self.assignment) if c == i]
+        """Edge ids of class i in increasing order; shared, so do not mutate."""
+        return self._classes[i]
+
+    def class_adjacency(self, i: int) -> list[list[tuple[int, int]]]:
+        """Per-vertex (neighbour, edge id) lists of the edges of class i."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.graph.n)]
+        for e in self._classes[i]:
+            u, v = self.graph.edges[e]
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        return adj
 
     def components(self, i: int) -> list[list[int]]:
         """Vertex sets of the trees of class i (singletons included), sorted."""
-        adj: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for e in self.class_edges(i):
-            u, v = self.graph.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self.class_adjacency(i)
         seen = [False] * self.graph.n
         comps = []
         for start in range(self.graph.n):
@@ -75,7 +87,7 @@ class ForestDecomposition:
             queue = deque([start])
             while queue:
                 u = queue.popleft()
-                for w in adj[u]:
+                for w, _ in adj[u]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)

@@ -64,16 +64,6 @@ class Graph:
             seen.add(key)
         return False
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge id); loops appear once."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges):
-            adj[u].append((v, e))
-            if v != u:
-                adj[v].append((u, e))
-        return adj
-
-
 @dataclass(frozen=True)
 class SparsityParams:
     """Parameter pair (k, l) with 0 <= l < 3k, plus the derived range index t.

@@ -231,11 +231,7 @@ def orient_from_forests(fd: "ForestDecomposition") -> Orientation:
     g = fd.graph
     arcs: list[tuple[int, int] | None] = [None] * g.m
     for i in range(fd.kappa):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for e in fd.class_edges(i):
-            u, v = g.edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+        adj = fd.class_adjacency(i)
         seen = [False] * g.n
         for root in range(g.n):
             if seen[root] or not adj[root]:
@@ -249,6 +245,7 @@ def orient_from_forests(fd: "ForestDecomposition") -> Orientation:
                         seen[w] = True
                         arcs[e] = (u, w)
                         queue.append(w)
+        del adj  # free this class's lists before the next class builds its own
     oriented = [a for a in arcs if a is not None]
     if len(oriented) != len(fd.assignment) - fd.assignment.count(None):
         raise ContractError("forest classes do not form forests")

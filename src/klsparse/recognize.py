@@ -5,7 +5,9 @@ prescribed independent set u0 (|u0| = t) has all indegrees zero, a strict
 superset of u0 violating (k,l)-sparsity exists iff, after deleting u0,
 adding a root s, and wiring k - indeg(v) parallel arcs from s to every
 remaining vertex, some vertex set avoiding s has fewer than l - t*k
-entering arcs.  The three range drivers differ in how they produce the
+entering arcs.  That digraph is never built: ``rooted_violation`` reads
+the root arcs off the orientation's spare indegrees and searches the
+orientation itself.  The three range drivers differ in how they produce the
 orientations and which u0 they probe:
 
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
@@ -33,7 +35,7 @@ from .graph import (
     validate_input,
 )
 from .orient import Orientation, bounded_orientation, orient_from_forests, reorient_to_source
-from .rooted import RootedDigraph, rooted_violation
+from .rooted import rooted_violation
 
 logger = logging.getLogger(__name__)
 
@@ -49,33 +51,13 @@ class RecognitionResult:
 
 
 def _superset_violation(d0: Orientation, u0: frozenset[int], k: int, l: int) -> set[int] | None:
-    """Violating strict superset of u0, via the rooted-connectivity reduction.
+    """Violating strict superset of u0, via the rooted query on d0.
 
     Assumes d0 is k-indegree-bounded and u0-source with t*k <= l <= (t+1)*k.
     Returns the violating vertex set (u0 included) or None.
     """
-    eta = l - len(u0) * k
-    keep = [v for v in range(d0.n) if v not in u0]
-    sub = {v: i for i, v in enumerate(keep)}
-    root = len(keep)
-    arcs: list[tuple[int, int, int]] = []
-    for e in range(len(d0.edges)):
-        tl, hd = d0.tail(e), d0.head(e)
-        if tl == hd:
-            continue
-        if tl in u0:
-            continue  # deleted together with u0
-        if hd in u0:
-            raise ContractError("orientation is not u0-source")
-        arcs.append((sub[tl], sub[hd], 1))
-    for v in keep:
-        mult = k - d0.indeg[v]
-        if mult > 0:
-            arcs.append((root, sub[v], mult))
-    found = rooted_violation(RootedDigraph(root + 1, arcs, root), eta)
-    if not found:
-        return None
-    return {keep[x] for x in found} | set(u0)
+    found = rooted_violation(d0, u0, k, l - len(u0) * k)
+    return found | u0 if found else None
 
 
 def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate | None:
@@ -259,14 +241,10 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
         return RecognitionResult(False, make_certificate(g, p, cert.vertices))
     d = orient_from_forests(fd)
     for i in range(p.l - p.k):
-        class_adj: list[list[int]] = [[] for _ in range(g.n)]
-        for e in fd.class_edges(i):
-            u, v = g.edges[e]
-            class_adj[u].append(v)
-            class_adj[v].append(u)
+        class_adj = fd.class_adjacency(i)
         for comp in fd.components(i):
             sub_d, idx = _induce_orientation(d, comp)
-            sub_tree = [[idx[w] for w in class_adj[v]] for v in comp]
+            sub_tree = [[idx[w] for w, _ in class_adj[v]] for v in comp]
             found = _saturated_worker(sub_d, sub_tree, comp, p.k, p.l)
             if found is not None:
                 return RecognitionResult(False, make_certificate(g, p, found))

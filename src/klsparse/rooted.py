@@ -1,144 +1,123 @@
-"""Rooted arc-connectivity: find a vertex set with fewer than eta entering arcs.
+"""The rooted query, read off an orientation: a set with fewer than eta entering arcs.
 
-A digraph is rooted eta-arc-connected from s when every nonempty vertex set
-avoiding s has at least eta entering arcs (counting multiplicities).  For
-eta = 1 a single reachability search settles it.  For eta >= 2 the search
-is local.  A root side, initially {s}, collects the sinks already shown to
-have eta arc-disjoint paths from s.  Each remaining sink, in increasing id
-order, asks for eta augmenting paths from the root side, each found by a
+Given a k-indegree-bounded orientation and a source set u0, the query asks
+about the digraph that deletes u0 and adds a root s with k - indeg(v)
+parallel arcs into every remaining vertex v: is it rooted eta-arc-connected
+from s, that is, does every nonempty vertex set avoiding s and u0 have at
+least eta entering arcs?  The root arcs are never built.  The search reads
+the orientation's own indegrees and in-lists; a vertex's spare indegree is
+its root capacity, edges whose tail lies in u0 are skipped, and loops never
+lead anywhere.
+
+For eta = 1 one forward search from the vertices with spare indegree is
+the whole query: O(n + m).  For eta >= 2 the search is local.  A root
+side, initially {s}, collects the sinks already shown to have eta
+arc-disjoint paths from s.  Each remaining sink, in increasing id order,
+asks for eta augmenting paths from the root side, each found by a
 breadth-first search backward from the sink over the residual network that
-stops at the first root-side vertex; the flow is kept only on the arcs this
-sink's paths touch.  A sink that gets eta paths joins the root side, which
-is sound by Menger: no set with fewer than eta entering arcs can contain
-it.  So a sink with eta arcs from the root side settles at the first level
-of its search, and most searches stay near their sink.
+stops at the first vertex with root capacity left or on the root side; the
+flow is kept only on the edges this sink's paths use.  A sink that gets
+eta paths joins the root side, which is sound by Menger: no set with fewer
+than eta entering arcs can contain it.  So a sink with eta spare indegree
+settles without a search, and most searches stay near their sink.
 
 The first sink short of eta paths is the lowest-id sink that the root
 cannot reach by eta arc-disjoint paths, since the root side holds only
 sinks no small cut separates from s.  For the same reason every minimum
 cut between s and that sink avoids the root side, so the returned set, the
 complement of the residual forward reach from the whole root side, is the
-maximal sink side of a minimum s-sink cut: the same set a search from s
-alone would return, whatever maximum flow it found.  No minimality of the
-returned set is guaranteed.
+maximal sink side of a minimum s-sink cut: a set fixed by the graph, since
+its cut value k|X| - i(X) - e(u0, X) does not depend on the orientation.
+No minimality of the returned set is guaranteed.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from itertools import chain
 
 from .graph import InputError
+from .orient import Orientation
 
 
-@dataclass
-class RootedDigraph:
-    """Digraph with a distinguished root; parallel arcs are multiplicities."""
+def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
+    """Return a nonempty X avoiding u0 with fewer than eta entering arcs, or an empty set.
 
-    num_nodes: int
-    arcs: list[tuple[int, int, int]]  # (tail, head, multiplicity)
-    root: int
-
-    def __post_init__(self):
-        if not 0 <= self.root < self.num_nodes:
-            raise InputError(f"root {self.root} out of range")
-        for tail, head, mult in self.arcs:
-            if not (0 <= tail < self.num_nodes and 0 <= head < self.num_nodes):
-                raise InputError(f"arc ({tail}, {head}) out of range")
-            if mult < 0:
-                raise InputError("arc multiplicity must be nonnegative")
-
-
-def _reachable(d: RootedDigraph) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(d.num_nodes)]
-    for tail, head, mult in d.arcs:
-        if mult > 0:
-            adj[tail].append(head)
-    seen = {d.root}
-    queue = deque([d.root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def rooted_violation(d: RootedDigraph, eta: int) -> set[int]:
-    """Return a nonempty X avoiding the root with indegree < eta, or an empty set.
-
-    Deterministic: among eta >= 2 sinks, the lowest-id failing sink wins.
+    The arcs entering X are the edges into X whose tail lies outside X and
+    u0, plus k - indeg(v) root arcs into every v in X; edges into u0 play
+    no part.  Every indegree must be at most k.  Deterministic: the
+    lowest-id failing sink wins.
     """
     if eta < 0:
         raise InputError("eta must be nonnegative")
+    if d.max_indegree() > k:
+        raise InputError(f"an indegree exceeds k={k}")
     if eta == 0:
         return set()
-    n = d.num_nodes
-    if eta == 1:
-        reach = _reachable(d)
-        if len(reach) == n:
-            return set()
-        return set(range(n)) - reach
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
-    in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for tail, head, mult in d.arcs:
-        if tail != head and mult > 0:
-            out_arcs[tail].append(len(caps))
-            in_arcs[head].append(len(caps))
-            tails.append(tail)
-            heads.append(head)
-            caps.append(mult)
-    rooted = [False] * n
-    rooted[d.root] = True
-    for sink in range(n):
-        if rooted[sink]:
-            continue
-        flow: dict[int, int] = {}  # arc -> flow, on the arcs this sink's paths touch
-        for _ in range(eta):
-            # parent[v] = (arc, forward): the residual step from v toward the sink
-            parent: dict[int, tuple[int, bool]] = {sink: (-1, True)}
+    n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()
+    rooted: set[int] = set()  # sinks confirmed by eta paths (spare ones need not be)
+    flow: set[int] = set()  # edges carrying the current sink's flow
+    out_flow: dict[int, list[int]] = {}  # tail -> its edges in flow
+    spent: dict[int, int] = {}  # root flow into each vertex
+    # For eta = 1 the forward reach below, from the spare vertices alone, is
+    # the whole answer; a search per sink could walk O(n + m) for each one.
+    for sink in range(n if eta > 1 else 0):
+        if k - indeg[sink] >= eta or sink in u0:
+            continue  # eta root arcs, or deleted
+        flow.clear()
+        out_flow.clear()
+        spent.clear()
+        for path in range(1, eta + 1):
+            # parent[v] = (edge, w): the residual step from v toward the sink
+            parent: dict[int, tuple[int, int]] = {sink: (-1, sink)}
             queue = deque([sink])
-            start = -1
+            start = sink if k - indeg[sink] > spent.get(sink, 0) else -1
             while queue and start < 0:
                 w = queue.popleft()
-                for i in in_arcs[w]:
-                    v = tails[i]
-                    if v not in parent and flow.get(i, 0) < caps[i]:
-                        parent[v] = (i, True)
-                        queue.append(v)
-                        if rooted[v]:
+                for e in chain(inc[w], out_flow.get(w, ())):
+                    a, b = edges[e]
+                    if e in flow and (a if rev[e] else b) == w:
+                        continue  # a saturated edge into w
+                    v = a + b - w
+                    if v not in parent and v not in u0:
+                        parent[v] = (e, w)
+                        if v in rooted or k - indeg[v] > spent.get(v, 0):
                             start = v
-                for i in out_arcs[w]:
-                    v = heads[i]
-                    if v not in parent and flow.get(i, 0) > 0:
-                        parent[v] = (i, False)
+                            break
                         queue.append(v)
-            if start < 0:
-                break
+            if start < 0 or path == eta:
+                break  # short of eta paths, or settled: the last path is never pushed
+            if start not in rooted:
+                spent[start] = spent.get(start, 0) + 1
             node = start
             while node != sink:
-                i, forward = parent[node]
-                flow[i] = flow.get(i, 0) + (1 if forward else -1)
-                node = heads[i] if forward else tails[i]
+                e, nxt = parent[node]
+                if e in flow:
+                    flow.remove(e)
+                    out_flow[nxt].remove(e)
+                else:
+                    flow.add(e)
+                    out_flow.setdefault(node, []).append(e)
+                node = nxt
+        if start < 0:
+            break
+        rooted.add(sink)
+    else:
+        if eta > 1:
+            return set()  # every sink has eta paths
+    # The residual network: unused edges tail to head, flow edges back.
+    # Vertices of u0 start out seen, so their edges are never followed.
+    residual: list[list[int]] = [[] for _ in range(n)]
+    for e, ((a, b), r) in enumerate(zip(edges, rev)):
+        if (e in flow) == r:
+            residual[a].append(b)
         else:
-            rooted[sink] = True
-            continue
-        seen = {v for v in range(n) if rooted[v]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for i in out_arcs[u]:
-                v = heads[i]
-                if v not in seen and flow.get(i, 0) < caps[i]:
-                    seen.add(v)
-                    queue.append(v)
-            for i in in_arcs[u]:
-                v = tails[i]
-                if v not in seen and flow.get(i, 0) > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return set(range(n)) - seen
-    return set()
+            residual[b].append(a)
+    seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
+    queue = deque(seen)
+    seen |= u0
+    while queue:
+        for v in residual[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return set(range(n)) - seen

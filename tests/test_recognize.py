@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -171,7 +172,7 @@ import klsparse.orient as orient
 import klsparse.recognize as recognize
 from klsparse import ContractError, Graph, Orientation, bounded_orientation, check_superset_sparsity
 assert False, "asserts are live"
-recognize.rooted_violation = lambda d, eta: {0}
+recognize.rooted_violation = lambda d, u0, k, eta: {0}
 try:
     check_superset_sparsity(Orientation(Graph(3, ((0, 1),))), {0}, 2, 3)
 except ContractError:
@@ -190,6 +191,18 @@ except ContractError:
 
 def test_one_edge_low_range_is_sparse():
     assert check_sparsity(Graph(20_000, ((0, 1),)), 2, 2).sparse
+
+
+def test_descending_path_forest_check_is_linear():
+    # Every vertex but the last has indegree 1 at (1,1), so a search per
+    # sink would walk back to the last vertex from each one: n^2/2 steps.
+    n = 20_000
+    start = time.perf_counter()
+    assert check_sparsity(Graph(n, tuple((i + 1, i) for i in range(n - 1))), 1, 1).sparse
+    # A loop at 0 leaves no spare vertex on the path: n edges on n vertices.
+    path = tuple((i + 1, i) for i in range(n - 1)) + ((0, 0),)
+    assert check_sparsity(Graph(n + 1, path), 1, 1).certificate.vertices == frozenset(range(n))
+    assert time.perf_counter() - start < 10
 
 
 def test_saturated_violation_k4_star_tree():

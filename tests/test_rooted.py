@@ -2,15 +2,38 @@ import itertools
 import random
 from collections import deque
 
-from klsparse import RootedDigraph, rooted_violation
+import pytest
+
+from klsparse import Graph, InputError, Orientation, rooted_violation
 
 
-def _indegree(d: RootedDigraph, xs: set[int]) -> int:
-    return sum(m for u, v, m in d.arcs if u not in xs and v in xs)
+def _query(d, eta: int) -> set[int]:
+    """Ask the rooted query about the digraph d = (n, arcs, root).
+
+    Arcs into the root are dropped and multiplicities become parallel
+    edges.  Root arcs become spare indegree: k is the largest number of
+    arcs into a vertex, and k - in(v) - mult(root, v) padding edges from
+    the root into each v leave v exactly mult(root, v) spare.
+    """
+    n, arcs, root = d
+    edges, need = [], [0] * n
+    for u, v, m in arcs:
+        if v != root:
+            need[v] += m
+            if u != root:
+                edges += [(u, v)] * m
+    k = max(need, default=0)
+    edges += [(root, v) for v in range(n) if v != root for _ in range(k - need[v])]
+    return rooted_violation(Orientation(Graph(n, tuple(edges))), {root}, k, eta)
 
 
-def _violation_exists_brute(d: RootedDigraph, eta: int) -> bool:
-    others = [v for v in range(d.num_nodes) if v != d.root]
+def _indegree(d, xs: set[int]) -> int:
+    return sum(m for u, v, m in d[1] if u not in xs and v in xs)
+
+
+def _violation_exists_brute(d, eta: int) -> bool:
+    n, _, root = d
+    others = [v for v in range(n) if v != root]
     for r in range(1, len(others) + 1):
         for xs in itertools.combinations(others, r):
             if _indegree(d, set(xs)) < eta:
@@ -18,34 +41,34 @@ def _violation_exists_brute(d: RootedDigraph, eta: int) -> bool:
     return False
 
 
-def _reference_violation(d: RootedDigraph, eta: int) -> set[int]:
+def _reference_violation(d, eta: int) -> set[int]:
     """The global per-sink search: a fresh flow and forward searches from the root."""
     if eta == 0:
         return set()
-    n = d.num_nodes
+    n, arcs, root = d
     out_arcs: list[list[int]] = [[] for _ in range(n)]
     in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i, (tail, head, _) in enumerate(d.arcs):
+    for i, (tail, head, _) in enumerate(arcs):
         out_arcs[tail].append(i)
         in_arcs[head].append(i)
     for sink in range(n):
-        if sink == d.root:
+        if sink == root:
             continue
-        flow = [0] * len(d.arcs)
+        flow = [0] * len(arcs)
         for _ in range(eta):
             parent: dict[int, tuple[int, bool]] = {}  # node -> (arc, used_forward)
-            seen = {d.root}
-            queue = deque([d.root])
+            seen = {root}
+            queue = deque([root])
             while queue and sink not in seen:
                 u = queue.popleft()
                 for i in out_arcs[u]:
-                    v = d.arcs[i][1]
-                    if v not in seen and flow[i] < d.arcs[i][2]:
+                    v = arcs[i][1]
+                    if v not in seen and flow[i] < arcs[i][2]:
                         seen.add(v)
                         parent[v] = (i, True)
                         queue.append(v)
                 for i in in_arcs[u]:
-                    v = d.arcs[i][0]
+                    v = arcs[i][0]
                     if v not in seen and flow[i] > 0:
                         seen.add(v)
                         parent[v] = (i, False)
@@ -53,38 +76,38 @@ def _reference_violation(d: RootedDigraph, eta: int) -> set[int]:
             if sink not in seen:
                 return set(range(n)) - seen
             node = sink
-            while node != d.root:
+            while node != root:
                 i, forward = parent[node]
                 flow[i] += 1 if forward else -1
-                node = d.arcs[i][0] if forward else d.arcs[i][1]
+                node = arcs[i][0] if forward else arcs[i][1]
     return set()
 
 
 def test_star_is_rooted_one_connected():
-    d = RootedDigraph(3, [(0, 1, 1), (0, 2, 1)], 0)
-    assert rooted_violation(d, 1) == set()
+    d = (3, [(0, 1, 1), (0, 2, 1)], 0)
+    assert _query(d, 1) == set()
 
 
 def test_isolated_vertex_violates():
-    d = RootedDigraph(2, [], 0)
-    assert rooted_violation(d, 1) == {1}
+    d = (2, [], 0)
+    assert _query(d, 1) == {1}
 
 
 def test_eta_zero_always_empty():
-    d = RootedDigraph(4, [], 0)
-    assert rooted_violation(d, 0) == set()
+    d = (4, [], 0)
+    assert _query(d, 0) == set()
 
 
 def test_single_arc_eta_two():
-    d = RootedDigraph(2, [(0, 1, 1)], 0)
-    assert rooted_violation(d, 2) == {1}
-    assert rooted_violation(d, 1) == set()
+    d = (2, [(0, 1, 1)], 0)
+    assert _query(d, 2) == {1}
+    assert _query(d, 1) == set()
 
 
 def test_parallel_multiplicity_counts():
-    d = RootedDigraph(2, [(0, 1, 2)], 0)
-    assert rooted_violation(d, 2) == set()
-    assert rooted_violation(d, 3) == {1}
+    d = (2, [(0, 1, 2)], 0)
+    assert _query(d, 2) == set()
+    assert _query(d, 3) == {1}
 
 
 def test_figure_one_derived_digraph():
@@ -104,8 +127,8 @@ def test_figure_one_derived_digraph():
         (7, 4, 1),  # s->f
         (7, 5, 1),  # s->g
     ]
-    d = RootedDigraph(8, arcs, 7)
-    x = rooted_violation(d, 1)
+    d = (8, arcs, 7)
+    x = _query(d, 1)
     assert x == {0, 1, 2}
     assert _indegree(d, x) == 0
 
@@ -119,12 +142,12 @@ def test_random_agreement_with_enumeration():
             for _ in range(rng.randint(0, 10)):
                 u, v = rng.randrange(n), rng.randrange(n)
                 arcs.append((u, v, rng.randint(1, 2)))
-            d = RootedDigraph(n, arcs, 0)
-            found = rooted_violation(d, eta)
+            d = (n, arcs, 0)
+            found = _query(d, eta)
             exists = _violation_exists_brute(d, eta)
             assert bool(found) == exists
             if found:
-                assert d.root not in found
+                assert d[2] not in found
                 assert _indegree(d, found) < eta
 
 
@@ -133,8 +156,8 @@ def test_monotonicity_in_eta():
     for _ in range(200):
         n = rng.randint(2, 7)
         arcs = [(rng.randrange(n), rng.randrange(n), 1) for _ in range(rng.randint(0, 10))]
-        d = RootedDigraph(n, arcs, 0)
-        empties = [not rooted_violation(d, eta) for eta in range(4)]
+        d = (n, arcs, 0)
+        empties = [not _query(d, eta) for eta in range(4)]
         # once a violation appears it persists for larger eta
         for small, big in zip(empties, empties[1:]):
             assert small or not big
@@ -145,13 +168,52 @@ def test_same_set_as_global_search():
     # and t's second path r-c-b-a-d-e-t must cancel the flow on a->b.
     cancelling = [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1), (4, 3, 1),
                   (2, 5, 1), (5, 6, 1), (6, 1, 1)]
-    d = RootedDigraph(7, cancelling, 0)
-    assert rooted_violation(d, 2) == _reference_violation(d, 2) == {2, 5, 6}
+    d = (7, cancelling, 0)
+    assert _query(d, 2) == _reference_violation(d, 2) == {2, 5, 6}
     rng = random.Random(62)
     for _ in range(5000):
         n = rng.randint(1, 9)
         arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3))
                 for _ in range(rng.randint(0, 3 * n))]
-        d = RootedDigraph(n, arcs, rng.randrange(n))
+        d = (n, arcs, rng.randrange(n))
         eta = rng.randint(1, 4)
-        assert rooted_violation(d, eta) == _reference_violation(d, eta), (arcs, d.root, eta)
+        assert _query(d, eta) == _reference_violation(d, eta), (d, eta)
+
+
+def _cut(d: Orientation, u0, k: int, xs) -> int:
+    """Arcs entering xs: spare indegree plus edges from outside xs and u0."""
+    spare = sum(k - d.indeg[v] for v in xs)
+    return spare + sum(1 for e in range(len(d.edges))
+                       if d.head(e) in xs and d.tail(e) not in xs and d.tail(e) not in u0)
+
+
+def test_two_sources_and_a_loop():
+    # u0 = {0, 1}; 2 gets both of its arcs from u0, 3 a loop and an arc from 0.
+    d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
+    assert _cut(d, {0, 1}, 2, {2, 3}) == 0
+    assert rooted_violation(d, {0, 1}, 2, 1) == rooted_violation(d, {0, 1}, 2, 2) == {2, 3}
+    # Random orientations: the lowest failing sink's maximal minimum cut.
+    rng = random.Random(63)
+    for _ in range(300):
+        n, k = rng.randint(3, 7), rng.randint(1, 3)
+        edges = [(rng.randrange(2, n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        edges = [(v, u) if u < 2 else (u, v) for u, v in edges]  # nothing enters u0 = {0, 1}
+        d = Orientation(Graph(n, tuple(edges)))
+        k = max(k, d.max_indegree())
+        eta = rng.randint(1, 3)
+        expected = set()
+        for sink in range(2, n):
+            sides = [set(xs) | {sink} for r in range(n - 2)
+                     for xs in itertools.combinations(set(range(2, n)) - {sink}, r)]
+            low = min(_cut(d, {0, 1}, k, xs) for xs in sides)
+            if low < eta:
+                expected = set().union(*(xs for xs in sides if _cut(d, {0, 1}, k, xs) == low))
+                break
+        assert rooted_violation(d, {0, 1}, k, eta) == expected, (n, edges, k, eta)
+
+
+def test_indegree_above_k_is_an_input_error():
+    d = Orientation(Graph(3, ((0, 2), (1, 2))))
+    with pytest.raises(InputError):
+        rooted_violation(d, {0}, 1, 1)
+    assert rooted_violation(d, {0}, 2, 1) == set()
