@@ -1,15 +1,17 @@
 """Partition a graph's edges into kappa forests, or certify impossibility.
 
-Edges are inserted one at a time in input order.  An edge first tries each
-class directly (union-find); failing that, a breadth-first exchange search
-looks for an augmenting sequence "edge x enters class i by displacing an
-edge on the tree path between x's endpoints".  A genuinely rejected edge
-proves the graph has no kappa-forest partition.  The violating vertex set
-comes from the shared orientation engine: the accepted forest edges are
-oriented away from per-tree roots (``orient_from_forests``), and one
-``Orientation.gather`` on the rejected edge's endpoints tries to make room
-for it; the vertices that still reach the endpoints when it stalls form
-the certificate.
+Edges are inserted one at a time in input order into kappa classes, each
+kept as rooted trees.  An edge first tries each class directly, linking
+two trees by re-hanging the smaller one; failing that, a breadth-first
+exchange search looks for an augmenting sequence "edge x enters class i by
+displacing an edge on the tree path between x's endpoints", a path found
+by climbing from both endpoints to their common ancestor.  A genuinely
+rejected edge proves the graph has no kappa-forest partition.  The
+violating vertex set comes from the shared orientation engine: the
+accepted forest edges are oriented away from per-tree roots
+(``orient_from_forests``), and one ``Orientation.gather`` on the rejected
+edge's endpoints tries to make room for it; the vertices that still reach
+the endpoints when it stalls form the certificate.
 """
 from __future__ import annotations
 
@@ -21,30 +23,6 @@ from .graph import Certificate, ContractError, Graph, InputError, SparsityParams
 from .orient import orient_from_forests
 
 logger = logging.getLogger(__name__)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 @dataclass
@@ -96,75 +74,121 @@ class ForestDecomposition:
         return comps
 
     def class_is_acyclic(self, i: int) -> bool:
-        uf = _UnionFind(self.graph.n)
-        return all(uf.union(*self.graph.edges[e]) for e in self.class_edges(i))
+        # Any cycle, parallel pair or loop leaves more edges than n - #trees.
+        return len(self._classes[i]) == self.graph.n - len(self.components(i))
+
+
+def _top(jump: dict[int, int], v: int) -> int:
+    """Follow ``jump`` from v to its end, pointing the vertices passed there."""
+    top = v
+    while top in jump:
+        top = jump[top]
+    while v != top:
+        jump[v], v = top, jump[v]
+    return top
 
 
 class _Builder:
+    """Kappa forests kept as rooted trees, grown by insertion and exchange.
+
+    In class i, vertex v hangs from its parent by edge ``parent[i][v]``
+    (-1 at a root), ``depth[i][v]`` levels below the root of the tree whose
+    id is ``comp[i][v]``; ``size[i][c]`` counts the vertices of tree c, and
+    ``adj[i][v]`` lists the class's edge ids at v for the re-hang walks.
+    """
+
     def __init__(self, g: Graph, kappa: int):
         self.g = g
         self.kappa = kappa
         self.assignment: list[int | None] = [None] * g.m
-        self.uf = [_UnionFind(g.n) for _ in range(kappa)]
-        self.adj: list[list[list[tuple[int, int]]]] = [
-            [[] for _ in range(g.n)] for _ in range(kappa)
-        ]
+        # w ^ across[e] is the other endpoint of edge e at endpoint w.
+        self.across = [u ^ v for u, v in g.edges]
+        ids = list(range(g.n))
+        self.parent = [[-1] * g.n for _ in range(kappa)]
+        self.depth = [[0] * g.n for _ in range(kappa)]
+        self.comp = [ids.copy() for _ in range(kappa)]
+        self.size = [[1] * g.n for _ in range(kappa)]
+        self.adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(kappa)]
+        self.searches = self.walked = 0
 
-    def _add(self, e: int, i: int) -> None:
-        u, v = self.g.edges[e]
-        self.assignment[e] = i
-        self.adj[i][u].append((v, e))
-        self.adj[i][v].append((u, e))
+    def _hang(self, i: int, x: int, a: int, b: int) -> None:
+        """Re-root a's tree of class i at a and hang it below b by edge x."""
+        parent, depth, comp, adj, across = (
+            self.parent[i], self.depth[i], self.comp[i], self.adj[i], self.across)
+        parent[a], depth[a], comp[a] = x, depth[b] + 1, comp[b]
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for e in adj[u]:
+                if e != parent[u]:
+                    w = u ^ across[e]
+                    parent[w], depth[w], comp[w] = e, depth[u] + 1, comp[u]
+                    stack.append(w)
+        adj[a].append(x)
+        adj[b].append(x)
 
-    def _remove(self, e: int, i: int) -> None:
-        u, v = self.g.edges[e]
-        self.assignment[e] = None
-        self.adj[i][u].remove((v, e))
-        self.adj[i][v].remove((u, e))
+    def _swap(self, i: int, y: int, x: int) -> None:
+        """Replace y by x in class i, where y lies on x's tree path.
 
-    def _rebuild_uf(self, i: int) -> None:
-        uf = _UnionFind(self.g.n)
-        for e, c in enumerate(self.assignment):
-            if c == i:
-                uf.union(*self.g.edges[e])
-        self.uf[i] = uf
+        Cutting y splits off the subtree below it, which holds one endpoint
+        of x; that subtree is re-hung from there, and no tree id changes.
+        """
+        parent, depth, adj, across = self.parent[i], self.depth[i], self.adj[i], self.across
+        u, v = self.g.edges[y]
+        adj[u].remove(y)
+        adj[v].remove(y)
+        c = v if parent[v] == y else u  # the end below y
+        a, b = self.g.edges[x]
+        w = a
+        while depth[w] > depth[c]:
+            w ^= across[parent[w]]
+        if w != c:
+            a, b = b, a
+        self._hang(i, x, a, b)
 
-    def _path_edges(self, i: int, a: int, b: int) -> list[int]:
-        """Edge ids on the tree path from a to b in class i (same component)."""
-        if a == b:
-            return []
-        parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            if u == b:
-                break
-            for w, e in self.adj[i][u]:
-                if w not in parent:
-                    parent[w] = (u, e)
-                    queue.append(w)
-        path = []
-        node = b
-        while node != a:
-            prev, e = parent[node]
-            path.append(e)
-            node = prev
-        path.reverse()
-        return path
+    def _new_path_edges(self, i: int, a: int, b: int, jump: dict[int, int]) -> list[int]:
+        """Edges of the a-b tree path in class i not yet marked, in a -> b order.
+
+        ``jump`` maps each vertex whose parent edge is marked to a vertex
+        above it, so the climb skips marked edges; the edges returned are
+        marked on the way.
+        """
+        parent, depth, across = self.parent[i], self.depth[i], self.across
+        from_a: list[int] = []
+        from_b: list[int] = []
+        a, b, up, down = _top(jump, a), _top(jump, b), from_a, from_b
+        while a != b:
+            if depth[a] < depth[b]:  # always climb from the deeper end
+                a, b, up, down = b, a, down, up
+            e = parent[a]
+            up.append(e)
+            jump[a] = a ^ across[e]
+            a = _top(jump, a)
+        from_a += reversed(from_b)
+        self.walked += len(from_a)
+        return from_a
+
+    def _free_class(self, x: int) -> int | None:
+        """First class but x's own whose trees do not already join x's endpoints."""
+        u, v = self.g.edges[x]
+        for i in range(self.kappa):
+            if i != self.assignment[x] and self.comp[i][u] != self.comp[i][v]:
+                return i
+        return None
 
     def try_insert(self, e0: int) -> bool:
-        u, v = self.g.edges[e0]
-        if u == v:
-            return False
-        for i in range(self.kappa):
-            if self.uf[i].find(u) != self.uf[i].find(v):
-                self._add(e0, i)
-                self.uf[i].union(u, v)
-                return True
+        i = self._free_class(e0)
+        if i is not None:
+            self._apply_exchange(e0, i, {})
+            return True
         # Augmenting exchange search over displaced edges, breadth-first so
-        # the chain of exchanges is shortest (which keeps it valid).
+        # the chain of exchanges is shortest (which keeps it valid).  Edges
+        # leave the queue in the order they are found, so testing each one
+        # as it is found picks the edge a test on leaving would pick, without
+        # expanding the edges queued before it.
+        self.searches += 1
         pred: dict[int, int] = {}
-        visited = {e0}
+        jumps: list[dict[int, int]] = [{} for _ in range(self.kappa)]
         queue = deque([e0])
         while queue:
             x = queue.popleft()
@@ -172,29 +196,35 @@ class _Builder:
             for i in range(self.kappa):
                 if i == self.assignment[x]:
                     continue
-                if self.uf[i].find(xu) != self.uf[i].find(xv):
-                    self._apply_exchange(x, i, pred)
-                    return True
-                for y in self._path_edges(i, xu, xv):
-                    if y not in visited:
-                        visited.add(y)
-                        pred[y] = x
-                        queue.append(y)
+                for y in self._new_path_edges(i, xu, xv, jumps[i]):
+                    pred[y] = x
+                    j = self._free_class(y)
+                    if j is not None:
+                        self._apply_exchange(y, j, pred)
+                        return True
+                    queue.append(y)
         return False
 
     def _apply_exchange(self, x: int, target: int, pred: dict[int, int]) -> None:
-        touched = {target}
-        while True:
-            old = self.assignment[x]
-            if old is not None:
-                self._remove(x, old)
-                touched.add(old)
-            self._add(x, target)
-            if old is None:
-                break
-            x, target = pred[x], old
-        for i in touched:
-            self._rebuild_uf(i)
+        """Link x into target, then let each predecessor take its successor's place.
+
+        x's endpoints lie in different trees of target; the smaller tree is
+        re-hung below the other.  The assignments change only after every
+        swap, because each swap reads the class its displaced edge leaves.
+        """
+        a, b = self.g.edges[x]
+        comp, size = self.comp[target], self.size[target]
+        if size[comp[a]] > size[comp[b]]:
+            a, b = b, a
+        size[comp[b]] += size[comp[a]]
+        self._hang(target, x, a, b)
+        moves = [(x, target)]
+        while (old := self.assignment[x]) is not None:
+            y, x = x, pred[x]
+            self._swap(old, y, x)
+            moves.append((x, old))
+        for e, i in moves:
+            self.assignment[e] = i
 
 
 def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, ForestDecomposition | None]:
@@ -204,13 +234,19 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
     if g.has_loop():
         raise InputError("forest decomposition requires a loop-free graph")
     builder = _Builder(g, kappa)
-    for e in range(g.m):
-        if not builder.try_insert(e):
-            partial = ForestDecomposition(g, kappa, tuple(builder.assignment))
-            logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests",
-                         e, *g.edges[e], kappa)
-            return violating_set_from_failed_decomposition(g, partial, e, kappa), None
-    return None, ForestDecomposition(g, kappa, tuple(builder.assignment))
+    inserted = 0
+    while inserted < g.m and builder.try_insert(inserted):
+        inserted += 1
+    # Every exchange search but a rejected edge's ends in one exchange.
+    logger.debug("%d of %d edges inserted into %d forests: %d exchange searches, "
+                 "%d exchanges applied, %d path edges walked", inserted, g.m, kappa,
+                 builder.searches, builder.searches - (inserted < g.m), builder.walked)
+    fd = ForestDecomposition(g, kappa, tuple(builder.assignment))
+    if inserted == g.m:
+        return None, fd
+    logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests",
+                 inserted, *g.edges[inserted], kappa)
+    return violating_set_from_failed_decomposition(g, fd, inserted, kappa), None
 
 
 def violating_set_from_failed_decomposition(

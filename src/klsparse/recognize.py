@@ -188,6 +188,8 @@ def _saturated_worker(
     if found is not None:
         return {labels[v] for v in found}
     for comp in _tree_components(tree_adj, c):
+        if len(comp) == 1:
+            continue  # loop-free here, so one vertex never violates
         sub_d, idx = _induce_orientation(d, comp)
         sub_tree = [[idx[w] for w in tree_adj[v] if w in idx] for v in comp]
         result = _saturated_worker(sub_d, sub_tree, [labels[v] for v in comp], k, l)
@@ -243,6 +245,8 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     for i in range(p.l - p.k):
         class_adj = fd.class_adjacency(i)
         for comp in fd.components(i):
+            if len(comp) == 1:
+                continue  # loop-free here, so one vertex never violates
             sub_d, idx = _induce_orientation(d, comp)
             sub_tree = [[idx[w] for w, _ in class_adj[v]] for v in comp]
             found = _saturated_worker(sub_d, sub_tree, comp, p.k, p.l)

@@ -1,17 +1,23 @@
 import itertools
 import logging
 import random
+from collections import Counter
 
 import pytest
 
 from klsparse import (
     ContractError,
+    GenSpec,
     Graph,
     InputError,
+    format_edge_list,
     forest_decomposition,
+    generate,
     induced_edge_count,
     violating_set_from_failed_decomposition,
 )
+from klsparse.cli import main
+from klsparse.forests import _Builder
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -49,6 +55,8 @@ def test_triangle_needs_two_forests(caplog):
     with caplog.at_level(logging.DEBUG, logger="klsparse"):
         cert, fd = forest_decomposition(TRIANGLE, 1)
     assert "edge 2 (0, 2) rejected: no exchange fits it into 1 forests" in caplog.text
+    assert ("2 of 3 edges inserted into 1 forests: 1 exchange searches, "
+            "0 exchanges applied, 2 path edges walked") in caplog.text
     assert fd is None
     assert cert.vertices == frozenset({0, 1, 2})
     assert cert.induced_edges == 3 > 2 == cert.bound
@@ -134,3 +142,77 @@ def test_violating_set_rejects_insertable_edge():
     partial = ForestDecomposition(g, 2, (0, 0, None))  # edge 2 fits class 1
     with pytest.raises(ContractError):
         violating_set_from_failed_decomposition(g, partial, 2, 2)
+
+
+def _check_builder(b: _Builder) -> None:
+    """The rooted trees of every class agree with the assignment."""
+    g = b.g
+    for i in range(b.kappa):
+        members = [e for e, c in enumerate(b.assignment) if c == i]
+        at = [[] for _ in range(g.n)]
+        for e in members:
+            for w in g.edges[e]:
+                at[w].append(e)
+        assert [sorted(es) for es in b.adj[i]] == at
+        parent, depth, comp = b.parent[i], b.depth[i], b.comp[i]
+        for v in range(g.n):
+            e = parent[v]
+            if e == -1:
+                assert depth[v] == 0
+                continue
+            assert b.assignment[e] == i and v in g.edges[e]
+            assert depth[sum(g.edges[e]) - v] == depth[v] - 1
+        assert sorted(e for e in parent if e != -1) == members
+        reach = [None] * g.n
+        for start in range(g.n):
+            if reach[start] is None:
+                reach[start], stack = start, [start]
+                while stack:
+                    u = stack.pop()
+                    for e in at[u]:
+                        w = sum(g.edges[e]) - u
+                        if reach[w] is None:
+                            reach[w] = start
+                            stack.append(w)
+        for u, v in itertools.combinations(range(g.n), 2):
+            assert (comp[u] == comp[v]) == (reach[u] == reach[v])
+        for c, count in Counter(comp).items():
+            assert b.size[i][c] == count
+
+
+def test_builder_trees_match_assignment_after_every_insert():
+    rng = random.Random(606)
+    exchanged = 0
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        kappa = rng.randint(1, 3)
+        edges = []
+        for _ in range(rng.randint(0, kappa * n + 2)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((u, v))  # a parallel pair
+        b = _Builder(Graph(n, tuple(edges)), kappa)
+        for e in range(len(edges)):
+            inserted = b.try_insert(e)
+            _check_builder(b)
+            if not inserted:
+                break
+        exchanged += b.searches > 0
+    assert exchanged > 50
+
+
+def test_decompose_output_is_pinned(tmp_path, capsys, caplog):
+    # Exchange chains on this instance swap edges in both classes.
+    g = generate(GenSpec("planted-violation", 30, 2, 3, 4))
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    with caplog.at_level(logging.DEBUG, logger="klsparse"):
+        assert main(["decompose", "--kappa", "2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "forest 0: 1 2 4 5 6 7 8 9 11 12 13 14 15 19 21 22 24 25 30 32 34 37 39 41 43 48 "
+        "49 53 56\n"
+        "forest 1: 0 3 10 16 17 18 20 23 26 27 28 29 31 33 35 36 38 40 42 44 45 46 47 50 "
+        "51 52 54 55 57\n")
+    assert ("58 of 58 edges inserted into 2 forests: 5 exchange searches, "
+            "5 exchanges applied, 105 path edges walked") in caplog.text

@@ -193,6 +193,38 @@ def test_one_edge_low_range_is_sparse():
     assert check_sparsity(Graph(20_000, ((0, 1),)), 2, 2).sparse
 
 
+def test_mid_range_skips_one_vertex_components(monkeypatch):
+    # Without loops a single vertex never violates for k < l < 2k, so only
+    # the edge's own component is searched, not each isolated vertex.
+    import klsparse.recognize as recognize
+    calls = []
+    real = recognize.rooted_violation
+    monkeypatch.setattr(recognize, "rooted_violation",
+                        lambda *args: calls.append(args) or real(*args))
+    assert check_sparsity(Graph(1000, ((0, 1),)), 2, 3).sparse
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, l", [(2, 3), (3, 4), (3, 5)])
+def test_planted_mid_range_scaling(k, l):
+    # Planted dense sets force exchange searches through the forests; the
+    # bound is criterion 8's.
+    def seconds(n):
+        total = 0.0
+        for seed in range(1, 6):
+            g = klsparse.generate(klsparse.GenSpec("planted-violation", n, k, l, seed))
+            best = None
+            for _ in range(3):
+                start = time.perf_counter()
+                assert not check_sparsity(g, k, l).sparse
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+            total += best
+        return total
+
+    assert seconds(400) / seconds(200) <= 4.5
+
+
 def test_descending_path_forest_check_is_linear():
     # Every vertex but the last has indegree 1 at (1,1), so a search per
     # sink would walk back to the last vertex from each one: n^2/2 steps.
