@@ -15,7 +15,6 @@ from .graph import (
     validate_input,
     verify_certificate,
 )
-from .flow import CirculationNetwork, FlowNetwork, feasible_circulation, max_flow
 from .orient import Orientation, bounded_orientation, orient_from_forests, reorient_to_source
 from .rooted import rooted_violation
 from .forests import ForestDecomposition, forest_decomposition, violating_set_from_failed_decomposition
@@ -33,9 +32,7 @@ from .oracles import GenSpec, brute_force_check, generate, pebble_game_check
 
 __all__ = [
     "Certificate",
-    "CirculationNetwork",
     "ContractError",
-    "FlowNetwork",
     "ForestDecomposition",
     "GenSpec",
     "Graph",
@@ -52,13 +49,11 @@ __all__ = [
     "check_sparsity_low",
     "check_sparsity_mid",
     "check_superset_sparsity",
-    "feasible_circulation",
     "forest_decomposition",
     "format_edge_list",
     "generate",
     "induced_edge_count",
     "make_certificate",
-    "max_flow",
     "orient_from_forests",
     "parse_edge_list",
     "pebble_game_check",

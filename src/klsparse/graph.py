@@ -43,15 +43,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        """Per-vertex degree; a loop adds 1 to its vertex."""
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            if v != u:
-                deg[v] += 1
-        return deg
-
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 

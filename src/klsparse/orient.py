@@ -1,14 +1,13 @@
-"""Bounded-indegree orientations and the gather that repairs them.
+"""Bounded-indegree orientations and the searches that repair them.
 
 An orientation with all indegrees at most kappa exists iff no vertex set X
-induces more than kappa*|X| edges; the search is encoded as a feasible
-circulation over reversal indicators and solved by one max-flow call.  An
-infeasible instance yields a Hoffman-violating set, which is exactly such
-an X.
+induces more than kappa*|X| edges (Hakimi).  ``bounded_orientation`` finds
+one by Dinic-style phases of reversal paths on the orientation itself
+(Even and Tarjan 1975; Frank and Gyarfas 1976), or returns such an X.
 
 ``Orientation`` is the one mutable engine every range shares: edge
 endpoints, directions, indegrees, and in-lists that are built on the first
-search and kept current after it.  Its one search, ``gather`` (the
+search and kept current after it.  Its search ``gather`` (the
 pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
 moves indegree off a target set by reversing backward paths to spare
 vertices; when it stalls, the vertices that still reach the targets
@@ -18,14 +17,16 @@ forest certificate gathers on the accepted forests.
 """
 from __future__ import annotations
 
+import logging
 from collections import deque
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Container, Iterable
 
-from .flow import CirculationNetwork, feasible_circulation
 from .graph import Certificate, ContractError, Graph, induced_edge_count
 
 if TYPE_CHECKING:
     from .forests import ForestDecomposition
+
+logger = logging.getLogger(__name__)
 
 
 class Orientation:
@@ -34,9 +35,9 @@ class Orientation:
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
     reversing them is a no-op.  Per-vertex in-lists are built on the first
-    call that needs them and then kept current by ``reverse`` and
-    ``add_edge``, so an orientation that is never searched never pays for
-    them.
+    call that needs them and then kept current by ``reverse``, ``add_edge``
+    and the phases of ``bounded_orientation``, so an orientation that is
+    never searched never pays for them.
     """
 
     __slots__ = ("n", "edges", "rev", "indeg", "_inc")
@@ -154,42 +155,126 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     Returns ``(None, orientation)`` on success, else ``(certificate, None)``
     where the certificate set X satisfies i_G(X) > kappa*|X|.
 
-    Starting from the input direction of every edge, a reversal vector is
-    sought subject to, at each vertex u, a net reversal balance of at least
-    ``indeg(u) - kappa``.  This is a circulation instance on the arcs plus
-    one collector node; negative lower bounds on the collector arcs are
-    split into a forward arc clamped at zero and a reverse arc carrying the
-    slack, which leaves feasibility and the violating-set map unchanged.
-    Isolated vertices get no collector arcs: they could carry no flow, and
-    they never belong to a violating set.
+    The input directions are repaired in place.  Each phase layers the
+    graph breadth-first backward over the in-lists, from every vertex with
+    indegree above kappa to the first layer holding a spare vertex (indegree
+    below kappa), then reverses a blocking set of edge-disjoint shortest
+    paths found with a per-vertex pointer into the in-lists; each path moves
+    one unit of indegree from its overloaded end to its spare end.  The
+    in-lists are patched once per phase, as no edge is reversed twice in
+    one.  Unit capacities give O(sqrt(m)) phases of O(n + m) work.
+
+    When no spare vertex reaches an overloaded one, the set X of vertices
+    that no spare vertex reaches has no entering arc, every overloaded
+    vertex and no spare one, so its excess i(X) - kappa*|X| is the most any
+    set can have, and every set with that excess lies inside X.  Isolated
+    vertices are spare, so they never enter it.
     """
     if kappa < 1:
         raise ContractError("kappa must be positive")
-    n = g.n
-    collector = n
-    deg = g.degrees()
     d = Orientation(g)
-    arcs: list[tuple[int, int, int, int]] = [(u, v, 0, 1) for u, v in g.edges]
-    for u in range(n):
-        if not deg[u]:
-            continue
-        b = d.indeg[u] - kappa
-        arcs.append((u, collector, max(b, 0), deg[u]))
-        if b < 0:
-            arcs.append((collector, u, 0, -b))
-    circulation, hoffman = feasible_circulation(CirculationNetwork(n + 1, arcs))
-    if circulation is None:
-        hoffman = {v for v in hoffman if v != collector and deg[v]}
+    edges, rev, indeg = d.edges, d.rev, d.indeg
+    over = [v for v, i in enumerate(indeg) if i > kappa]
+    phases = flipped = 0
+    while over:
+        inc = d.in_adjacency()
+        level = [-1] * g.n
+        for v in over:
+            level[v] = 0
+        layer, depth, found = over, 0, False
+        while layer and not found:
+            depth += 1
+            nxt = []
+            for w in layer:
+                for e in inc[w]:
+                    u, v = edges[e]
+                    t = u + v - w
+                    if level[t] < 0:
+                        level[t] = depth
+                        nxt.append(t)
+                        found = found or indeg[t] < kappa
+            layer = nxt
+        if not found:
+            break
+        phases += 1
+        # ptr[w] indexes the next edge of inc[w] to try.  Once an edge on a
+        # path is reversed the pointer moves past it, so an edge reversed in
+        # this phase is never read again before the in-lists are patched.
+        ptr = [0] * g.n
+        moved: list[int] = []
+        for x in over:
+            stack, path = [x], []  # path[i] leads from stack[i + 1] into stack[i]
+            while indeg[x] > kappa:
+                w = stack[-1]
+                lst, i, below = inc[w], ptr[w], level[w] + 1
+                while i < len(lst):
+                    u, v = edges[lst[i]]
+                    t = u + v - w
+                    if level[t] == below and (below < depth or indeg[t] < kappa):
+                        break
+                    i += 1
+                ptr[w] = i
+                if i == len(lst):
+                    level[w] = -1  # dead end for the rest of the phase
+                    if w == x:
+                        break
+                    stack.pop()
+                    path.pop()
+                elif below < depth:
+                    stack.append(t)
+                    path.append(lst[i])
+                else:  # t is spare: reverse the path from it to x
+                    path.append(lst[i])
+                    for h, e in zip(stack, path):
+                        rev[e] = not rev[e]
+                        ptr[h] += 1
+                    moved += path
+                    indeg[x] -= 1
+                    indeg[t] += 1
+                    del stack[1:], path[:]
+        gone = set(moved)
+        for h in {d.tail(e) for e in gone}:  # the old heads
+            inc[h] = [e for e in inc[h] if e not in gone]
+        for e in moved:
+            inc[d.head(e)].append(e)
+        flipped += len(moved)
+        over = [v for v in over if indeg[v] > kappa]
+    if over:
+        hoffman = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
+        logger.debug("indegree bound %d fails after %d reversal phases, %d edges reversed: "
+                     "violating set of %d vertices", kappa, phases, flipped, len(hoffman))
         induced = induced_edge_count(g, hoffman)
         if not hoffman or induced <= kappa * len(hoffman):
-            raise ContractError(f"circulation returned a non-violating Hoffman set {sorted(hoffman)}")
+            raise ContractError(f"reversal phases stalled on a non-violating set {sorted(hoffman)}")
         return Certificate(frozenset(hoffman), induced, kappa * len(hoffman)), None
-    for e in range(g.m):
-        if circulation[e]:
-            d.reverse(e)
+    logger.debug("indegree bound %d met after %d reversal phases, %d edges reversed",
+                 kappa, phases, flipped)
     if d.max_indegree() > kappa:
-        raise ContractError("circulation left an indegree above kappa")
+        raise ContractError("reversal phases left an indegree above kappa")
     return None, d
+
+
+def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = (),
+              flow: Container[int] = frozenset()) -> set[int]:
+    """Vertices that no directed path from seen reaches without entering blocked.
+
+    The set seen is grown in place.  Edges in flow are followed head to
+    tail, the others tail to head.
+    """
+    out: list[list[int]] = [[] for _ in range(d.n)]
+    for e, ((a, b), r) in enumerate(zip(d.edges, d.rev)):
+        if (e in flow) == r:
+            out[a].append(b)
+        else:
+            out[b].append(a)
+    queue = deque(seen)
+    seen.update(blocked)
+    while queue:
+        for v in out[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return set(range(d.n)) - seen
 
 
 def reorient_to_source(d: Orientation, k: int, u0: Iterable[int]) -> tuple[Certificate | None, Orientation | None]:

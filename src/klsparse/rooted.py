@@ -36,7 +36,7 @@ from collections import deque
 from itertools import chain
 
 from .graph import InputError
-from .orient import Orientation
+from .orient import Orientation, unreached
 
 
 def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
@@ -104,20 +104,7 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
     else:
         if eta > 1:
             return set()  # every sink has eta paths
-    # The residual network: unused edges tail to head, flow edges back.
-    # Vertices of u0 start out seen, so their edges are never followed.
-    residual: list[list[int]] = [[] for _ in range(n)]
-    for e, ((a, b), r) in enumerate(zip(edges, rev)):
-        if (e in flow) == r:
-            residual[a].append(b)
-        else:
-            residual[b].append(a)
+    # The forward reach in the residual network from the root side and the
+    # capacity left; u0 is blocked, so its edges are never followed.
     seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
-    queue = deque(seen)
-    seen |= u0
-    while queue:
-        for v in residual[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return set(range(n)) - seen
+    return unreached(d, seen, u0, flow)

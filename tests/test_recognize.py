@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -165,8 +166,8 @@ def test_superset_sparsity_contract_checks():
 
 
 def test_superset_certificate_is_checked_under_optimize():
-    # A rooted query, or a circulation, answering with a set that does not
-    # violate must raise even when asserts are stripped.
+    # A rooted query, or a stalled bounded orientation, answering with a set
+    # that does not violate must raise even when asserts are stripped.
     script = """
 import klsparse.orient as orient
 import klsparse.recognize as recognize
@@ -177,9 +178,9 @@ try:
     check_superset_sparsity(Orientation(Graph(3, ((0, 1),))), {0}, 2, 3)
 except ContractError:
     print("raised")
-orient.feasible_circulation = lambda net: (None, {0})
+orient.unreached = lambda d, seen: {0}
 try:
-    bounded_orientation(Graph(3, ((0, 1),)), 1)
+    bounded_orientation(Graph(3, ((0, 1), (0, 1), (0, 1))), 1)
 except ContractError:
     print("raised")
 """
@@ -223,6 +224,25 @@ def test_planted_mid_range_scaling(k, l):
         return total
 
     assert seconds(400) / seconds(200) <= 4.5
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_star_into_the_centre_scales(k):
+    # Every edge points at the centre, which must shed all but k of them in
+    # one phase.  Reversing each path in the live in-lists would shift the
+    # centre's whole list per path: quadratic, a ratio near 3.5 here.
+    stars = {n: Graph(n, tuple((leaf, 0) for leaf in range(1, n))) for n in (100_000, 200_000)}
+    best = dict.fromkeys(stars, float("inf"))
+    gc.disable()  # collector pauses depend on what earlier tests left alive
+    try:
+        for _ in range(3):  # interleaved, so a slow spell of the machine hits both sizes
+            for n, g in stars.items():
+                start = time.perf_counter()
+                assert check_sparsity(g, k, k).sparse
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[200_000] / best[100_000] <= 2.8
 
 
 def test_descending_path_forest_check_is_linear():
