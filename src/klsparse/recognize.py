@@ -15,7 +15,18 @@ orientations and which u0 they probe:
   for each component of the first l - k forests recurse by centroid
   decomposition, probing u0 = {centroid} at every level.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
-  (k, l+1) before accepting each edge uv.
+  (k, l+1) before accepting each edge uv.  The probe searches only the
+  neighbours of u and v as sinks; a failed probe runs the full query once,
+  for the certificate.
+
+The locality lemma behind that probe: let H be the accepted subgraph,
+simple and (k,l)-sparse, oriented so that u and v are sources, and let
+eta = l + 1 - 2k.  A nonempty X avoiding u and v has
+k|X| - i(X) - e(X, {u, v}) entering arcs.  If no edge joins X to u or v,
+fewer than eta of them means i(X) >= k|X| - l + 2k, which breaks sparsity
+when |X| >= 3 and simplicity when |X| <= 2 (3k - l >= 1, 4k - l >= 2).  So
+every such X holds a neighbour of u or v, and the probe fails iff some
+neighbour has fewer than eta arc-disjoint paths from the root.
 """
 from __future__ import annotations
 
@@ -260,7 +271,9 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
 
     Edge uv is insertable iff the current subgraph has no set strictly
     containing {u, v} violating (k, l+1)-sparsity; a found set certifies
-    that the input graph violates (k, l).
+    that the input graph violates (k, l).  By the locality lemma above the
+    probe searches only the neighbours of u and v; the full query runs
+    once, after a failed probe, for the certificate.
     """
     if p.t != 2:
         raise ContractError("check_sparsity_high requires 2k <= l < 3k")
@@ -268,13 +281,26 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
     if reason is not None:
         raise InputError(reason)
     d = Orientation._from_arcs(g.n, [])
-    for u, v in g.edges:
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
+    eta = p.l + 1 - 2 * p.k
+    for e, (u, v) in enumerate(g.edges):
         if d.gather((u, v), p.k, 0) is not None:
             raise ContractError("accepted subgraph lost (k,2k)-sparsity")
-        found = _superset_violation(d, frozenset((u, v)), p.k, p.l + 1)
-        if found is not None:
+        u0 = frozenset((u, v))
+        sinks = sorted({*nbrs[u], *nbrs[v]})
+        failed = rooted_violation(d, u0, p.k, eta, sinks)
+        if failed:
+            (sink,) = failed
+            logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",
+                         e, u, v, eta, sinks.index(sink) + 1)
+            del nbrs  # freed before the full query builds its own O(n + m) lists
+            found = _superset_violation(d, u0, p.k, p.l + 1)
+            if found is None:
+                raise ContractError(f"neighbour sink {sink} failed, the full query did not")
             return RecognitionResult(False, make_certificate(g, p, found))
         d.add_edge(u, v)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     return RecognitionResult(True, None)
 
 

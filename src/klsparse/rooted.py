@@ -29,6 +29,12 @@ complement of the residual forward reach from the whole root side, is the
 maximal sink side of a minimum s-sink cut: a set fixed by the graph, since
 its cut value k|X| - i(X) - e(u0, X) does not depend on the orientation.
 No minimality of the returned set is guaranteed.
+
+A caller that knows vertices every violating set must meet can pass them
+as the sinks: the extended-range driver passes the neighbours of u and v
+(the locality lemma in ``recognize``).  Then the per-sink search runs at
+every eta, eta = 1 included, over those sinks alone, and returns the first
+one short of eta paths without the O(n + m) forward reach.
 """
 from __future__ import annotations
 
@@ -39,13 +45,17 @@ from .graph import InputError
 from .orient import Orientation, unreached
 
 
-def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
+def rooted_violation(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
     """Return a nonempty X avoiding u0 with fewer than eta entering arcs, or an empty set.
 
     The arcs entering X are the edges into X whose tail lies outside X and
     u0, plus k - indeg(v) root arcs into every v in X; edges into u0 play
     no part.  Every indegree must be at most k.  Deterministic: the
     lowest-id failing sink wins.
+
+    Given ``sinks``, only those are searched, in their order, at every eta,
+    and the answer is decided but not certified: the result is the first
+    sink short of eta arc-disjoint paths, alone, or an empty set.
     """
     if eta < 0:
         raise InputError("eta must be nonnegative")
@@ -58,9 +68,10 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
     flow: set[int] = set()  # edges carrying the current sink's flow
     out_flow: dict[int, list[int]] = {}  # tail -> its edges in flow
     spent: dict[int, int] = {}  # root flow into each vertex
+    local = sinks is not None
     # For eta = 1 the forward reach below, from the spare vertices alone, is
     # the whole answer; a search per sink could walk O(n + m) for each one.
-    for sink in range(n if eta > 1 else 0):
+    for sink in sinks if local else range(n if eta > 1 else 0):
         if k - indeg[sink] >= eta or sink in u0:
             continue  # eta root arcs, or deleted
         flow.clear()
@@ -102,8 +113,10 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
             break
         rooted.add(sink)
     else:
-        if eta > 1:
+        if local or eta > 1:
             return set()  # every sink has eta paths
+    if local:
+        return {sink}
     # The forward reach in the residual network from the root side and the
     # capacity left; u0 is blocked, so its edges are never followed.
     seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}

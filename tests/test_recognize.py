@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import logging
 import os
 import random
 import subprocess
@@ -108,6 +109,14 @@ def test_high_range_examples():
     assert res5.certificate.vertices == frozenset(range(5))
 
 
+def test_failed_insertion_probe_is_logged(caplog):
+    # Closing the triangle 0-2-4 at (2,4): sink 3, a pendant neighbour of 0
+    # with spare indegree, settles at once; sink 4 has no root path.
+    g = Graph(5, ((2, 4), (0, 4), (0, 3), (0, 2)))
+    with caplog.at_level(logging.DEBUG, logger="klsparse"):
+        res = check_sparsity(g, 2, 4)
+    assert res.certificate.vertices == frozenset({0, 2, 4})
+    assert "insertion of edge 3 (0, 2) failed at eta=1 after 2 sinks" in caplog.text
 def test_dispatch_and_short_circuit():
     assert check_sparsity(K4, 2, 2).sparse
     assert check_sparsity(Graph(5, ()), 3, 7).sparse
@@ -224,6 +233,28 @@ def test_planted_mid_range_scaling(k, l):
         return total
 
     assert seconds(400) / seconds(200) <= 4.5
+
+
+@pytest.mark.parametrize("k, l", [(3, 7), (3, 8)])
+def test_planted_extended_range_scaling(k, l):
+    # Every insertion probe searches only the neighbours of u and v, and the
+    # full query runs once, for the certificate; a probe over all n sinks
+    # makes the check O(nm), a ratio above 4 here.  A (3,8) check takes
+    # about a millisecond, so the sizes are interleaved and the collector
+    # is off, as for the stars below.
+    graphs = [klsparse.generate(klsparse.GenSpec("planted-violation", n, k, l, seed))
+              for n in (200, 400) for seed in range(1, 6)]
+    best = [float("inf")] * len(graphs)
+    gc.disable()
+    try:
+        for _ in range(3):
+            for i, g in enumerate(graphs):
+                start = time.perf_counter()
+                assert not check_sparsity(g, k, l).sparse
+                best[i] = min(best[i], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert sum(best[5:]) / sum(best[:5]) <= 3.5
 
 
 @pytest.mark.parametrize("k", [1, 2])

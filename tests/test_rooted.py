@@ -4,7 +4,9 @@ from collections import deque
 
 import pytest
 
-from klsparse import Graph, InputError, Orientation, rooted_violation
+import klsparse.recognize as recognize
+from klsparse import (Graph, InputError, Orientation, SparsityParams, check_sparsity_high,
+                      rooted_violation)
 
 
 def _query(d, eta: int) -> set[int]:
@@ -217,3 +219,40 @@ def test_indegree_above_k_is_an_input_error():
     with pytest.raises(InputError):
         rooted_violation(d, {0}, 1, 1)
     assert rooted_violation(d, {0}, 2, 1) == set()
+
+
+def test_given_sinks_decide_without_a_certificate():
+    d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
+    assert rooted_violation(d, {0, 1}, 2, 1, [4, 3, 2]) == {3}  # 4 is spare, 3 fails
+    assert rooted_violation(d, {0, 1}, 2, 1, [4]) == set()
+    assert rooted_violation(d, {0, 1}, 2, 1, []) == set()
+
+
+def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
+    # The locality lemma: once u and v are sources of the accepted simple
+    # (k,l)-sparse subgraph, a set avoiding them with fewer than
+    # eta = l + 1 - 2k entering arcs must hold a neighbour of u or v, so the
+    # driver's search over those sinks alone answers as the full query does.
+    probes = []  # (eta, failed) per probe
+
+    def both(d, u0, k, eta, sinks=None):
+        found = rooted_violation(d, u0, k, eta, sinks)
+        if sinks is not None:
+            # Asked at once: a wrong answer changes the subgraph later probes see.
+            assert bool(found) == bool(rooted_violation(d, u0, k, eta)), (d.edges, sorted(u0), k, eta)
+            probes.append((eta, bool(found)))
+        return found
+
+    monkeypatch.setattr(recognize, "rooted_violation", both)
+    rng = random.Random(64)
+    for _ in range(600):
+        k = rng.randint(1, 3)
+        l = rng.randint(2 * k, 3 * k - 1)
+        n = rng.randint(3, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        edges = [tuple(rng.sample(e, 2)) for e in pairs[: rng.randint(1, min(len(pairs), k * n))]]
+        check_sparsity_high(Graph(n, tuple(edges)), SparsityParams(k, l))
+    failed = [eta for eta, local in probes if local]
+    assert len(failed) > 300 and len(probes) - len(failed) > 1500
+    assert set(failed) == {1, 2, 3}
