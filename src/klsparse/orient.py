@@ -12,8 +12,10 @@ pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
 moves indegree off a target set by reversing backward paths to spare
 vertices; when it stalls, the vertices that still reach the targets
 certify the obstruction.  ``reorient_to_source`` gathers on a copy, the
-extended-range driver gathers in place before each insertion, and the
-forest certificate gathers on the accepted forests.
+extended-range driver gathers in place before each insertion, the
+mid-range centroid search gathers in place on one engine per forest class
+and deletes edges as its trees split, and the forest certificate gathers
+on the accepted forests.
 """
 from __future__ import annotations
 
@@ -35,9 +37,10 @@ class Orientation:
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
     reversing them is a no-op.  Per-vertex in-lists are built on the first
-    call that needs them and then kept current by ``reverse``, ``add_edge``
-    and the phases of ``bounded_orientation``, so an orientation that is
-    never searched never pays for them.
+    call that needs them and then kept current by ``reverse``, ``add_edge``,
+    ``delete`` and the phases of ``bounded_orientation``, so an orientation
+    that is never searched never pays for them.  A deleted edge keeps its
+    id, its slot in ``edges`` becomes None, and every search skips it.
     """
 
     __slots__ = ("n", "edges", "rev", "indeg", "_inc")
@@ -90,6 +93,13 @@ class Orientation:
         self.indeg[v] += 1
         if self._inc is not None:
             self._inc[v].append(len(self.edges) - 1)
+
+    def delete(self, e: int) -> None:
+        """Take edge e out of the orientation; its id is not reused."""
+        head = self.head(e)
+        self.in_adjacency()[head].remove(e)
+        self.indeg[head] -= 1
+        self.edges[e] = None
 
     def copy(self) -> "Orientation":
         d = Orientation.__new__(Orientation)
@@ -262,7 +272,10 @@ def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = (),
     tail, the others tail to head.
     """
     out: list[list[int]] = [[] for _ in range(d.n)]
-    for e, ((a, b), r) in enumerate(zip(d.edges, d.rev)):
+    for e, (ends, r) in enumerate(zip(d.edges, d.rev)):
+        if ends is None:
+            continue  # deleted
+        a, b = ends
         if (e in flow) == r:
             out[a].append(b)
         else:

@@ -12,14 +12,23 @@ orientations and which u0 they probe:
 
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
 * k < l < 2k: decompose into k forests, orient away from tree roots, and
-  for each component of the first l - k forests recurse by centroid
-  decomposition, probing u0 = {centroid} at every level.
+  search each of the first l - k classes by centroid decomposition on one
+  engine: gather each centroid c to a source, probe u0 = {c} with
+  eta = l - k at c's neighbours only, then delete c's edges and those
+  between the pieces c leaves, so each piece keeps only its own edges.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
-  neighbours of u and v as sinks; a failed probe runs the full query once,
-  for the certificate.
+  neighbours of u and v as sinks.
+In both, a failed probe runs the full query once, for the certificate.
 
-The locality lemma behind that probe: let H be the accepted subgraph,
+The mid-range locality lemma: the k forests hold every edge, and each at
+most |X| - 1 inside a nonempty X, so i(X) <= k|X| - k in the engine, whose
+edges are a subset.  With c a source, X avoiding c has
+k|X| - i(X) - e(X, {c}) entering arcs; if no edge joins X to c that is at
+least k > eta.  So every set with fewer than eta entering arcs holds a
+neighbour of c: the probe fails iff the full query does.
+
+The extended-range locality lemma: let H be the accepted subgraph,
 simple and (k,l)-sparse, oriented so that u and v are sources, and let
 eta = l + 1 - 2k.  A nonempty X avoiding u and v has
 k|X| - i(X) - e(X, {u, v}) entering arcs.  If no edge joins X to u or v,
@@ -32,8 +41,8 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .forests import ForestDecomposition, forest_decomposition
 from .graph import (
@@ -45,8 +54,8 @@ from .graph import (
     make_certificate,
     validate_input,
 )
-from .orient import Orientation, bounded_orientation, orient_from_forests, reorient_to_source
-from .rooted import rooted_violation
+from .orient import Orientation, bounded_orientation, orient_from_forests
+from .rooted import rooted_search, rooted_violation
 
 logger = logging.getLogger(__name__)
 
@@ -117,96 +126,80 @@ def check_sparsity_low(g: Graph, p: SparsityParams) -> RecognitionResult:
     return RecognitionResult(True, None)
 
 
-def _centroid(tree_adj: list[list[int]]) -> int:
-    """Vertex whose removal leaves components of at most half the vertices.
+def _centroid_search(d: Orientation, fd: ForestDecomposition, i: int, k: int, l: int) -> set[int] | None:
+    """Centroid decomposition of forest class i on the engine d, in place.
 
-    Ties break toward the lowest vertex id.
+    Edges joining two trees of the class are deleted first.  Then each tree,
+    and depth first each piece it splits into, has its centroid c (the
+    lowest id whose largest remaining piece is at most half) gathered to a
+    source and probed at its neighbours.  c's edges and the edges between
+    the new pieces are deleted, so no edge leaves d twice.  Returns the stall
+    set of a failed gather or the full query's set after a failed probe.
     """
-    n = len(tree_adj)
-    if n == 1:
-        return 0
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
+    n, edges, inc, eta = d.n, d.edges, d.in_adjacency(), l - k
+    tree = fd.class_adjacency(i)  # (neighbour, edge id) lists
+    side = list(range(1, n + 1))  # each vertex's piece, its own at first; -1 once a centroid
+    parent, size, heavy = [-1] * n, [0] * n, [0] * n
+    tags = count(n + 1)  # the tags of trees and the pieces they split into
+
+    def piece(root: int) -> list[int]:
+        """Tag root's piece in side and parent; return it in breadth-first order."""
+        tag, order = next(tags), [root]
+        side[root], parent[root] = tag, -1
+        for v in order:
+            for w, _ in tree[v]:
+                if w != parent[v] and side[w] >= 0:
+                    side[w], parent[w] = tag, v
+                    order.append(w)
+        return order
+
+    def crossing(heads) -> list[tuple[int, int]]:
+        """(head, edge) for the edges into heads whose tail lies in another piece."""
+        return [(h, e) for h in heads for e in inc[h] if side[sum(edges[e]) - h] != side[h]]
+
+    trees = [piece(v) for v in range(n) if tree[v] and side[v] <= n]  # v's tree not yet tagged
+    stack = [(order, 0) for order in reversed(trees)]
+    doomed = crossing(range(n))
+    for _, e in doomed:
+        d.delete(e)
+    deleted = len(doomed)
+    probes = deepest = 0
+    found = None
     while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in tree_adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    size = [1] * n
-    heaviest = [0] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-            heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
-    best = None
-    for v in range(n):
-        top = max(heaviest[v], n - size[v])
-        if top <= n // 2 and best is None:
-            best = v
-    if best is None:
-        raise ContractError("tree has no centroid")
-    return best
-
-
-def _tree_components(tree_adj: list[list[int]], c: int) -> list[list[int]]:
-    """Sorted vertex lists of the components of the tree minus vertex c."""
-    comps = []
-    seen = {c}
-    for start in tree_adj[c]:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in tree_adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _induce_orientation(d: Orientation, comp: list[int]) -> tuple[Orientation, dict[int, int]]:
-    """Sub-orientation on comp: keep arcs whose tail also lies in comp."""
-    idx = {v: i for i, v in enumerate(comp)}
-    inc = d.in_adjacency()
-    arcs = []
-    for v in comp:
-        for e in inc[v]:
-            tl = d.tail(e)
-            if tl in idx:
-                arcs.append((idx[tl], idx[v]))
-    return Orientation._from_arcs(len(comp), arcs), idx
-
-
-def _saturated_worker(
-    d: Orientation, tree_adj: list[list[int]], labels: list[int], k: int, l: int
-) -> set[int] | None:
-    c = _centroid(tree_adj)
-    cert, d0 = reorient_to_source(d, k, (c,))
-    if cert is not None:
-        return {labels[v] for v in cert.vertices}
-    found = _superset_violation(d0, frozenset((c,)), k, l)
-    if found is not None:
-        return {labels[v] for v in found}
-    for comp in _tree_components(tree_adj, c):
-        if len(comp) == 1:
-            continue  # loop-free here, so one vertex never violates
-        sub_d, idx = _induce_orientation(d, comp)
-        sub_tree = [[idx[w] for w in tree_adj[v] if w in idx] for v in comp]
-        result = _saturated_worker(sub_d, sub_tree, [labels[v] for v in comp], k, l)
-        if result is not None:
-            return result
-    return None
+        order, depth = stack.pop()
+        for v in order:
+            size[v], heavy[v] = 1, 0
+        for v in reversed(order):
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+                heavy[parent[v]] = max(heavy[parent[v]], size[v])
+        total = len(order)
+        c = min(v for v in order if 2 * max(heavy[v], total - size[v]) <= total)
+        probes += 1
+        deepest = max(deepest, depth)
+        found = d.gather((c,), k, 0)
+        if found is not None:
+            logger.debug("forest class %d fails at centroid %d, depth %d: the gather stalls",
+                         i, c, depth)
+            break
+        side[c] = -1
+        pieces = [piece(w) for w, _ in tree[c] if side[w] >= 0]
+        doomed = crossing(order)  # c's edges, all out of c now, and those between pieces
+        sinks = list(dict.fromkeys(h for h, e in doomed if side[sum(edges[e]) - h] < 0))
+        if rooted_search(d, (c,), k, eta, sinks):
+            logger.debug("forest class %d fails at centroid %d, depth %d: a neighbour probe",
+                         i, c, depth)
+            found = _superset_violation(d, frozenset((c,)), k, l)
+            if found is None:
+                raise ContractError(f"a neighbour of centroid {c} failed, the full query did not")
+            break
+        for _, e in doomed:
+            d.delete(e)
+        deleted += len(doomed)
+        stack += [(part, depth + 1) for part in reversed(pieces) if len(part) > 1]
+    logger.debug("forest class %d: %d centroid probes, %d edges deleted, deepest depth %d",
+                 i, probes, deleted, deepest)
+    return found
 
 
 def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certificate | None:
@@ -214,32 +207,21 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
 
     Returns a violating set whenever the underlying graph contains one on
     which the given spanning tree induces a connected subgraph; may return
-    None or any valid violating set otherwise.
+    None or any valid violating set otherwise.  Such a set X holds the first
+    centroid c that falls in it, and X - {c} has fewer than l - k entering
+    arcs and a tree neighbour of c, one of the probe's sinks, for any graph.
+    The search runs on a copy of d, which must be k-indegree-bounded.
     """
     if p.t != 1:
         raise ContractError("saturated_violation requires k < l < 2k")
-    n = d.n
-    tree_edges = list(tree_edges)
-    if len(tree_edges) != n - 1:
+    tree_edges = tuple(tree_edges)
+    fd = ForestDecomposition(Graph(d.n, tree_edges), 1, (0,) * len(tree_edges))
+    if len(tree_edges) != d.n - 1 or len(fd.components(0)) != 1:
         raise ContractError("tree must span the orientation's vertex set")
-    tree_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in tree_edges:
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    reached = {0} if n else set()
-    queue = deque(reached)
-    while queue:
-        u = queue.popleft()
-        for w in tree_adj[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != n:
-        raise ContractError("tree must span the orientation's vertex set")
-    found = _saturated_worker(d, tree_adj, list(range(n)), p.k, p.l)
-    if found is None:
-        return None
-    return make_certificate(Graph(n, tuple(d.edges)), p, found)
+    if d.max_indegree() > p.k:
+        raise ContractError("orientation is not k-indegree-bounded")
+    found = _centroid_search(d.copy(), fd, 0, p.k, p.l)
+    return None if found is None else make_certificate(Graph(d.n, tuple(d.edges)), p, found)
 
 
 def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
@@ -253,16 +235,12 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     if cert is not None:
         return RecognitionResult(False, make_certificate(g, p, cert.vertices))
     d = orient_from_forests(fd)
+    if d.max_indegree() > p.k:
+        raise ContractError("the forest orientation is not k-indegree-bounded")
     for i in range(p.l - p.k):
-        class_adj = fd.class_adjacency(i)
-        for comp in fd.components(i):
-            if len(comp) == 1:
-                continue  # loop-free here, so one vertex never violates
-            sub_d, idx = _induce_orientation(d, comp)
-            sub_tree = [[idx[w] for w, _ in class_adj[v]] for v in comp]
-            found = _saturated_worker(sub_d, sub_tree, comp, p.k, p.l)
-            if found is not None:
-                return RecognitionResult(False, make_certificate(g, p, found))
+        found = _centroid_search(d.copy(), fd, i, p.k, p.l)
+        if found is not None:
+            return RecognitionResult(False, make_certificate(g, p, found))
     return RecognitionResult(True, None)
 
 
@@ -280,7 +258,7 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
     reason = validate_input(g, p)
     if reason is not None:
         raise InputError(reason)
-    d = Orientation._from_arcs(g.n, [])
+    d = Orientation._from_arcs(g.n, [])  # each edge enters a gathered source: indegrees <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = p.l + 1 - 2 * p.k
     for e, (u, v) in enumerate(g.edges):
@@ -288,7 +266,7 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
             raise ContractError("accepted subgraph lost (k,2k)-sparsity")
         u0 = frozenset((u, v))
         sinks = sorted({*nbrs[u], *nbrs[v]})
-        failed = rooted_violation(d, u0, p.k, eta, sinks)
+        failed = rooted_search(d, u0, p.k, eta, sinks)
         if failed:
             (sink,) = failed
             logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",

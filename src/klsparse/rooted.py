@@ -31,10 +31,13 @@ its cut value k|X| - i(X) - e(u0, X) does not depend on the orientation.
 No minimality of the returned set is guaranteed.
 
 A caller that knows vertices every violating set must meet can pass them
-as the sinks: the extended-range driver passes the neighbours of u and v
-(the locality lemma in ``recognize``).  Then the per-sink search runs at
-every eta, eta = 1 included, over those sinks alone, and returns the first
-one short of eta paths without the O(n + m) forward reach.
+as the sinks: the extended-range driver passes the neighbours of u and v,
+the mid-range centroid search the neighbours of the centroid (the locality
+lemmas in ``recognize``).  Then the per-sink search runs at every eta,
+eta = 1 included, over those sinks alone, and returns the first one short
+of eta paths without the O(n + m) forward reach.  The drivers call
+``rooted_search``, which skips the input checks: each keeps every
+indegree at most k on its own engine, so no probe pays an O(n) pass.
 """
 from __future__ import annotations
 
@@ -61,6 +64,11 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[in
         raise InputError("eta must be nonnegative")
     if d.max_indegree() > k:
         raise InputError(f"an indegree exceeds k={k}")
+    return rooted_search(d, u0, k, eta, sinks)
+
+
+def rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
+    """``rooted_violation`` without its checks: eta >= 0 and indegrees at most k are assumed."""
     if eta == 0:
         return set()
     n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from klsparse import (
     check_sparsity_low,
     check_sparsity_mid,
     check_superset_sparsity,
+    forest_decomposition,
     induced_edge_count,
     saturated_violation,
     verify_certificate,
@@ -208,11 +210,68 @@ def test_mid_range_skips_one_vertex_components(monkeypatch):
     # the edge's own component is searched, not each isolated vertex.
     import klsparse.recognize as recognize
     calls = []
-    real = recognize.rooted_violation
-    monkeypatch.setattr(recognize, "rooted_violation",
+    real = recognize.rooted_search
+    monkeypatch.setattr(recognize, "rooted_search",
                         lambda *args: calls.append(args) or real(*args))
     assert check_sparsity(Graph(1000, ((0, 1),)), 2, 3).sparse
     assert len(calls) == 1
+
+
+def test_centroid_search_deletes_each_edge_once(caplog, monkeypatch):
+    # Each class runs on a fresh engine, and an edge leaves it when it joins
+    # two trees, touches the centroid or crosses between the new pieces, so
+    # on a sparse graph every edge leaves each class's engine exactly once.
+    deleted = []
+    real = Orientation.delete
+    monkeypatch.setattr(Orientation, "delete", lambda d, e: deleted.append((d, e)) or real(d, e))
+    g = klsparse.generate(klsparse.GenSpec("tight-henneberg", 300, 2, 3, 1))
+    for k, l in ((2, 3), (3, 4), (3, 5)):  # (2,3)-sparse implies the other two
+        caplog.clear()
+        deleted.clear()
+        with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+            assert check_sparsity(g, k, l).sparse
+        lines = re.findall(r"forest class (\d+): (\d+) centroid probes, (\d+) edges deleted, "
+                           r"deepest depth (\d+)", caplog.text)
+        assert [int(i) for i, _, _, _ in lines] == list(range(l - k))
+        for _, probes, gone, depth in lines:
+            assert int(gone) == g.m and int(probes) < g.n and 2 ** int(depth) <= g.n
+        assert len({(id(d), e) for d, e in deleted}) == len(deleted) == (l - k) * g.m
+
+
+def test_centroid_stage_certificates_reverify():
+    rng = random.Random(66)
+    centroid_stage = 0
+    for _ in range(800):
+        k = rng.randint(2, 3)
+        l = rng.randint(k + 1, 2 * k - 1)
+        n = rng.randint(2, 10)
+        edges = tuple(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, k * (n - 1))))
+        g, p = Graph(n, edges), SparsityParams(k, l)
+        res = check_sparsity(g, k, l)
+        assert res.sparse == (brute_force_check(g, p) is None), (g, k, l)
+        if not res.sparse:
+            assert verify_certificate(g, p, res.certificate)
+            centroid_stage += forest_decomposition(g, k)[0] is None
+    assert centroid_stage > 200
+
+
+def test_centroid_failures_are_logged(caplog):
+    # A doubled path is not (2,2)-sparse, so centroid 1 cannot shed its
+    # indegree; the planted set of the twelve-vertex example avoids the
+    # first centroid, so the search fails one level down.
+    doubled = Graph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2)))
+    with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+        assert check_sparsity(K4, 2, 3).certificate.vertices == frozenset(range(4))
+        cert = saturated_violation(Orientation(doubled), ((0, 1), (1, 2)), SparsityParams(2, 3))
+        assert cert.vertices == frozenset(range(3))
+        fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
+        cert = saturated_violation(Orientation(fig2), FIG2_TREE_ARCS, SparsityParams(2, 3))
+        assert cert.vertices == frozenset({1, 2, 3, 4})
+    assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
+    assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
+    assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
+    assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 2
+    assert "forest class 0: 2 centroid probes, 3 edges deleted, deepest depth 1" in caplog.text
 
 
 @pytest.mark.parametrize("k, l", [(2, 3), (3, 4), (3, 5)])

@@ -6,7 +6,8 @@ import pytest
 
 import klsparse.recognize as recognize
 from klsparse import (Graph, InputError, Orientation, SparsityParams, check_sparsity_high,
-                      rooted_violation)
+                      check_sparsity_mid, rooted_violation)
+from klsparse.rooted import rooted_search
 
 
 def _query(d, eta: int) -> set[int]:
@@ -228,22 +229,24 @@ def test_given_sinks_decide_without_a_certificate():
     assert rooted_violation(d, {0, 1}, 2, 1, []) == set()
 
 
+def _checked_against_full_query(probes):
+    """A stand-in for the drivers' probe that also asks the full query on the same engine."""
+    def both(d, u0, k, eta, sinks):
+        found = rooted_search(d, u0, k, eta, sinks)
+        # Asked at once: a wrong answer changes the engine later probes see.
+        assert bool(found) == bool(rooted_violation(d, u0, k, eta)), (d.edges, sorted(u0), k, eta)
+        probes.append((eta, bool(found)))
+        return found
+    return both
+
+
 def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
     # The locality lemma: once u and v are sources of the accepted simple
     # (k,l)-sparse subgraph, a set avoiding them with fewer than
     # eta = l + 1 - 2k entering arcs must hold a neighbour of u or v, so the
     # driver's search over those sinks alone answers as the full query does.
     probes = []  # (eta, failed) per probe
-
-    def both(d, u0, k, eta, sinks=None):
-        found = rooted_violation(d, u0, k, eta, sinks)
-        if sinks is not None:
-            # Asked at once: a wrong answer changes the subgraph later probes see.
-            assert bool(found) == bool(rooted_violation(d, u0, k, eta)), (d.edges, sorted(u0), k, eta)
-            probes.append((eta, bool(found)))
-        return found
-
-    monkeypatch.setattr(recognize, "rooted_violation", both)
+    monkeypatch.setattr(recognize, "rooted_search", _checked_against_full_query(probes))
     rng = random.Random(64)
     for _ in range(600):
         k = rng.randint(1, 3)
@@ -256,3 +259,22 @@ def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
     failed = [eta for eta, local in probes if local]
     assert len(failed) > 300 and len(probes) - len(failed) > 1500
     assert set(failed) == {1, 2, 3}
+
+
+def test_neighbour_sinks_decide_every_centroid_probe(monkeypatch):
+    # The mid-range locality lemma: in a (k,k)-sparse graph a set X with no
+    # edge to the centroid has k|X| - i(X) >= k > eta = l - k entering arcs,
+    # so the search over the centroid's neighbours answers as the full query
+    # on the whole engine does, the pieces not yet searched included.
+    probes = []  # (eta, failed) per probe
+    monkeypatch.setattr(recognize, "rooted_search", _checked_against_full_query(probes))
+    rng = random.Random(65)
+    for _ in range(1500):
+        k = rng.randint(2, 3)
+        l = rng.randint(k + 1, 2 * k - 1)
+        n = rng.randint(2, 12)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, k * (n - 1)))]
+        check_sparsity_mid(Graph(n, tuple(edges)), SparsityParams(k, l))
+    failed = [eta for eta, local in probes if local]
+    assert len(failed) > 300 and len(probes) - len(failed) > 1500
+    assert set(failed) == {1, 2}
