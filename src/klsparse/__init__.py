@@ -15,9 +15,9 @@ from .graph import (
     validate_input,
     verify_certificate,
 )
-from .orient import Orientation, bounded_orientation, orient_from_forests, reorient_to_source
+from .orient import Orientation, bounded_orientation
 from .rooted import rooted_violation
-from .forests import ForestDecomposition, forest_decomposition, violating_set_from_failed_decomposition
+from .forests import ForestDecomposition, forest_decomposition
 from .recognize import (
     RecognitionResult,
     certificate_json,
@@ -54,14 +54,11 @@ __all__ = [
     "generate",
     "induced_edge_count",
     "make_certificate",
-    "orient_from_forests",
     "parse_edge_list",
     "pebble_game_check",
-    "reorient_to_source",
     "rooted_violation",
     "saturated_violation",
     "sparsity_bound",
     "validate_input",
     "verify_certificate",
-    "violating_set_from_failed_decomposition",
 ]

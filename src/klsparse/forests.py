@@ -6,32 +6,40 @@ two trees by re-hanging the smaller one; failing that, a breadth-first
 exchange search looks for an augmenting sequence "edge x enters class i by
 displacing an edge on the tree path between x's endpoints", a path found
 by climbing from both endpoints to their common ancestor.  A genuinely
-rejected edge proves the graph has no kappa-forest partition.  The
-violating vertex set comes from the shared orientation engine: the
-accepted forest edges are oriented away from per-tree roots
-(``orient_from_forests``), and one ``Orientation.gather`` on the rejected
-edge's endpoints tries to make room for it; the vertices that still reach
-the endpoints when it stalls form the certificate.
+rejected edge proves the graph has no kappa-forest partition.
+
+The builder's trees orient the accepted edges: each is directed from its
+parent end to its child end, so every vertex has at most one in-arc per
+class and indegree at most kappa.  The mid-range driver searches that
+orientation, and on a rejection one ``Orientation.gather`` on it tries to
+make room for the rejected edge at its endpoints; the vertices that still
+reach the endpoints when it stalls form the certificate.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Certificate, ContractError, Graph, InputError, SparsityParams, make_certificate
-from .orient import orient_from_forests
+from .orient import Orientation
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class ForestDecomposition:
-    """Assignment of each edge id to one of kappa acyclic classes."""
+    """Assignment of each edge id to one of kappa acyclic classes.
+
+    ``orientation`` is the builder's: every edge directed from parent to
+    child in its class's tree, edge ids kept.  It is None on a record built
+    by hand.
+    """
 
     graph: Graph
     kappa: int
     assignment: tuple[int | None, ...]
+    orientation: Orientation | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self._classes: list[list[int]] = [[] for _ in range(self.kappa)]
@@ -110,6 +118,15 @@ class _Builder:
         self.size = [[1] * g.n for _ in range(kappa)]
         self.adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(kappa)]
         self.searches = self.walked = 0
+
+    def orientation(self) -> Orientation:
+        """The accepted edges, ids kept, each directed from parent to child in its class."""
+        arcs: list[tuple[int, int] | None] = [None] * self.g.m
+        for parent in self.parent:
+            for v, e in enumerate(parent):
+                if e >= 0:
+                    arcs[e] = (v ^ self.across[e], v)
+        return Orientation._from_arcs(self.g.n, [a for a in arcs if a is not None])
 
     def _hang(self, i: int, x: int, a: int, b: int) -> None:
         """Re-root a's tree of class i at a and hang it below b by edge x."""
@@ -241,31 +258,12 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
     logger.debug("%d of %d edges inserted into %d forests: %d exchange searches, "
                  "%d exchanges applied, %d path edges walked", inserted, g.m, kappa,
                  builder.searches, builder.searches - (inserted < g.m), builder.walked)
-    fd = ForestDecomposition(g, kappa, tuple(builder.assignment))
+    d = builder.orientation()
     if inserted == g.m:
-        return None, fd
+        return None, ForestDecomposition(g, kappa, tuple(builder.assignment), d)
     logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests",
                  inserted, *g.edges[inserted], kappa)
-    return violating_set_from_failed_decomposition(g, fd, inserted, kappa), None
-
-
-def violating_set_from_failed_decomposition(
-    g: Graph, partial: ForestDecomposition, rejected_edge: int, k: int
-) -> Certificate:
-    """Extract a (k,k)-violating set after an edge could not be inserted.
-
-    The accepted edges are oriented from per-tree roots toward the leaves,
-    giving every vertex indegree at most k.  One gather then tries to bring
-    the indegree sum on the rejected edge's endpoints down to k - 1, which
-    would make room for the edge; it gets stuck exactly when the accepted
-    edges already fill some set around both endpoints, and the vertices
-    that still reach the endpoints are the certificate.
-    """
-    params = SparsityParams(k, k)
-    ru, rv = g.edges[rejected_edge]
-    if ru == rv:
-        return make_certificate(g, params, {ru})
-    stuck = orient_from_forests(partial).gather((ru, rv), k, k - 1)
+    stuck = d.gather(g.edges[inserted], kappa, kappa - 1)
     if stuck is None:
-        raise ContractError("rejected edge was insertable; partial decomposition not maximal")
-    return make_certificate(g, params, stuck)
+        raise ContractError("rejected edge was insertable; the decomposition is not maximal")
+    return make_certificate(g, SparsityParams(kappa, kappa), stuck), None

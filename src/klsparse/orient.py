@@ -11,22 +11,19 @@ search and kept current after it.  Its search ``gather`` (the
 pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
 moves indegree off a target set by reversing backward paths to spare
 vertices; when it stalls, the vertices that still reach the targets
-certify the obstruction.  ``reorient_to_source`` gathers on a copy, the
-extended-range driver gathers in place before each insertion, the
-mid-range centroid search gathers in place on one engine per forest class
-and deletes edges as its trees split, and the forest certificate gathers
-on the accepted forests.
+certify the obstruction.  The extended-range driver gathers in place
+before each insertion, the mid-range centroid search gathers in place on
+one engine per forest class and deletes edges as its trees split, and the
+forest certificate gathers on the orientation the forest builder's trees
+give the accepted edges.
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
-from typing import TYPE_CHECKING, Container, Iterable
+from typing import Container, Iterable
 
 from .graph import Certificate, ContractError, Graph, induced_edge_count
-
-if TYPE_CHECKING:
-    from .forests import ForestDecomposition
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +33,8 @@ class Orientation:
 
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
-    reversing them is a no-op.  Per-vertex in-lists are built on the first
-    call that needs them and then kept current by ``reverse``, ``add_edge``,
+    no search reverses them.  Per-vertex in-lists are built on the first
+    call that needs them and then kept current by ``gather``, ``add_edge``,
     ``delete`` and the phases of ``bounded_orientation``, so an orientation
     that is never searched never pays for them.  A deleted edge keeps its
     id, its slot in ``edges`` becomes None, and every search skips it.
@@ -72,19 +69,6 @@ class Orientation:
     def tail(self, e: int) -> int:
         u, v = self.edges[e]
         return v if self.rev[e] else u
-
-    def reverse(self, e: int) -> None:
-        u, v = self.edges[e]
-        if u == v:
-            return
-        old_head = self.head(e)
-        self.rev[e] = not self.rev[e]
-        new_head = u + v - old_head
-        self.indeg[old_head] -= 1
-        self.indeg[new_head] += 1
-        if self._inc is not None:
-            self._inc[old_head].remove(e)
-            self._inc[new_head].append(e)
 
     def add_edge(self, u: int, v: int) -> None:
         """Append edge ``(u, v)`` directed ``u -> v``; its id is the old edge count."""
@@ -152,10 +136,20 @@ class Orientation:
                         queue.append(tl)
             if slack < 0:
                 return seen
+            # Flip the path; only its two ends change indegree.  An edge
+            # leaves its old head's in-list by a swap with the last entry,
+            # so a hub's list is never shifted.
+            indeg[slack] += 1
             while slack in parent:
                 e = parent[slack]
-                slack = self.head(e)
-                self.reverse(e)
+                head = self.head(e)
+                self.rev[e] = not self.rev[e]
+                old = inc[head]
+                old[old.index(e)] = old[-1]
+                old.pop()
+                inc[slack].append(e)
+                slack = head
+            indeg[slack] -= 1
         return None
 
 
@@ -288,63 +282,3 @@ def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = (),
                 seen.add(v)
                 queue.append(v)
     return set(range(d.n)) - seen
-
-
-def reorient_to_source(d: Orientation, k: int, u0: Iterable[int]) -> tuple[Certificate | None, Orientation | None]:
-    """Reorient so every vertex of u0 has indegree 0, keeping indegrees <= k.
-
-    Returns ``(None, d0)`` on success (the input orientation is not
-    mutated), or ``(certificate, None)`` where the certificate set T
-    strictly contains u0 and satisfies i_G(T) > k|T| - |u0|*k.  The work is
-    one ``gather`` on a copy of d.
-    """
-    u0 = frozenset(u0)
-    for v in u0:
-        if not 0 <= v < d.n:
-            raise ContractError(f"u0 vertex {v} out of range")
-    if d.max_indegree() > k:
-        raise ContractError("orientation is not k-indegree-bounded")
-    for u, v in d.edges:
-        if u in u0 and v in u0:
-            raise ContractError("u0 must be independent in the underlying graph")
-    d0 = d.copy()
-    target = d0.gather(sorted(u0), k, 0)
-    if target is None:
-        return None, d0
-    induced = d0.induced(target)
-    bound = k * len(target) - len(u0) * k
-    if not u0 < target or induced <= bound:
-        raise ContractError(f"stuck reorientation returned a non-violating set {sorted(target)}")
-    return Certificate(frozenset(target), induced, bound), None
-
-
-def orient_from_forests(fd: "ForestDecomposition") -> Orientation:
-    """Root every tree of every forest class and orient parent to child.
-
-    Each vertex gains at most one incoming arc per class, so the result is
-    kappa-indegree-bounded.  Roots are the lowest vertex id of each tree.
-    Unassigned edges are left out; the others keep their relative order, so
-    a complete decomposition keeps the graph's edge ids.
-    """
-    g = fd.graph
-    arcs: list[tuple[int, int] | None] = [None] * g.m
-    for i in range(fd.kappa):
-        adj = fd.class_adjacency(i)
-        seen = [False] * g.n
-        for root in range(g.n):
-            if seen[root] or not adj[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w, e in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        arcs[e] = (u, w)
-                        queue.append(w)
-        del adj  # free this class's lists before the next class builds its own
-    oriented = [a for a in arcs if a is not None]
-    if len(oriented) != len(fd.assignment) - fd.assignment.count(None):
-        raise ContractError("forest classes do not form forests")
-    return Orientation._from_arcs(g.n, oriented)

@@ -11,11 +11,12 @@ orientation itself.  The three range drivers differ in how they produce the
 orientations and which u0 they probe:
 
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
-* k < l < 2k: decompose into k forests, orient away from tree roots, and
-  search each of the first l - k classes by centroid decomposition on one
-  engine: gather each centroid c to a source, probe u0 = {c} with
-  eta = l - k at c's neighbours only, then delete c's edges and those
-  between the pieces c leaves, so each piece keeps only its own edges.
+* k < l < 2k: decompose into k forests, orient away from the builder's
+  tree roots, and search each of the first l - k classes by centroid
+  decomposition on one engine: gather each centroid c to a source, probe
+  u0 = {c} with eta = l - k at c's neighbours only, then delete c's edges
+  and those between the pieces c leaves, so each piece keeps only its own
+  edges.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
@@ -54,7 +55,7 @@ from .graph import (
     make_certificate,
     validate_input,
 )
-from .orient import Orientation, bounded_orientation, orient_from_forests
+from .orient import Orientation, bounded_orientation
 from .rooted import rooted_search, rooted_violation
 
 logger = logging.getLogger(__name__)
@@ -234,7 +235,7 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     cert, fd = forest_decomposition(g, p.k)
     if cert is not None:
         return RecognitionResult(False, make_certificate(g, p, cert.vertices))
-    d = orient_from_forests(fd)
+    d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
     for i in range(p.l - p.k):

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from klsparse import (
-    ContractError,
     GenSpec,
     Graph,
     InputError,
@@ -14,7 +13,6 @@ from klsparse import (
     forest_decomposition,
     generate,
     induced_edge_count,
-    violating_set_from_failed_decomposition,
 )
 from klsparse.cli import main
 from klsparse.forests import _Builder
@@ -110,19 +108,17 @@ def test_agreement_with_arboricity_brute_force():
 
 
 def test_violating_set_triangle():
-    # partial: the 2-edge path accepted, the closing edge rejected
-    from klsparse import ForestDecomposition
-    partial = ForestDecomposition(TRIANGLE, 1, (0, 0, None))
-    cert = violating_set_from_failed_decomposition(TRIANGLE, partial, 2, 1)
+    # the 2-edge path accepted, the closing edge rejected
+    cert, fd = forest_decomposition(TRIANGLE, 1)
+    assert fd is None
     assert cert.vertices == frozenset({0, 1, 2})
     assert cert.induced_edges == 3 > 2 == cert.bound
 
 
 def test_violating_set_k4_plus_parallel():
-    from klsparse import ForestDecomposition
     g = Graph(4, K4.edges + ((0, 1),))
-    partial = ForestDecomposition(g, 2, (0, 1, 1, 0, 1, 0, None))
-    cert = violating_set_from_failed_decomposition(g, partial, 6, 2)
+    cert, fd = forest_decomposition(g, 2)
+    assert fd is None
     assert cert.vertices == frozenset(range(4))
     assert cert.induced_edges == 7 > 6 == cert.bound
 
@@ -136,12 +132,22 @@ def test_violating_set_stays_in_component():
     assert cert.vertices == frozenset({0, 1, 2})
 
 
-def test_violating_set_rejects_insertable_edge():
-    from klsparse import ForestDecomposition
-    g = Graph(3, ((0, 1), (1, 2), (0, 2)))
-    partial = ForestDecomposition(g, 2, (0, 0, None))  # edge 2 fits class 1
-    with pytest.raises(ContractError):
-        violating_set_from_failed_decomposition(g, partial, 2, 2)
+def test_orientation_single_tree():
+    path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    d = forest_decomposition(path, 1)[1].orientation
+    assert sorted(d.indeg) == [0, 1, 1, 1]  # one root
+
+
+def test_orientation_k4_two_forests():
+    # K4 splits into two spanning trees
+    fd = forest_decomposition(K4, 2)[1]
+    assert fd.class_is_acyclic(0) and fd.class_is_acyclic(1)
+    assert max(fd.orientation.indeg) <= 2 and sum(fd.orientation.indeg) == 6
+
+
+def test_orientation_edgeless():
+    d = forest_decomposition(Graph(5, ()), 2)[1].orientation
+    assert d.indeg == [0] * 5
 
 
 def _check_builder(b: _Builder) -> None:
@@ -178,6 +184,18 @@ def _check_builder(b: _Builder) -> None:
             assert (comp[u] == comp[v]) == (reach[u] == reach[v])
         for c, count in Counter(comp).items():
             assert b.size[i][c] == count
+    # The orientation: accepted edges keep their ids, each runs parent to
+    # child, so a vertex has at most one in-arc per class.
+    d = b.orientation()
+    accepted = [e for e, c in enumerate(b.assignment) if c is not None]
+    assert list(range(len(accepted))) == accepted and len(d.edges) == len(accepted)
+    into = Counter()
+    for e in accepted:
+        tail, head = d.tail(e), d.head(e)
+        assert sorted((tail, head)) == sorted(g.edges[e])
+        assert b.parent[b.assignment[e]][head] == e
+        into[b.assignment[e], head] += 1
+    assert max(into.values(), default=0) <= 1
 
 
 def test_builder_trees_match_assignment_after_every_insert():

@@ -4,20 +4,13 @@ import logging
 import random
 import time
 
-import pytest
-
 from klsparse import (
-    ContractError,
-    ForestDecomposition,
     Graph,
     Orientation,
     bounded_orientation,
     check_sparsity,
     forest_decomposition,
     induced_edge_count,
-    orient_from_forests,
-    reorient_to_source,
-    violating_set_from_failed_decomposition,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -54,11 +47,17 @@ def _minimal_maximizer(g: Graph, targets: set[int], k: int) -> frozenset[int]:
     return least
 
 
+def _gather_on_copy(d: Orientation, k: int, u0) -> tuple[set[int] | None, Orientation]:
+    """Make every vertex of u0 a source on a copy of d: (stall set or None, the copy)."""
+    d0 = d.copy()
+    return d0.gather(sorted(u0), k, 0), d0
+
+
 def test_orientation_indegree_cache_and_reverse():
     d = Orientation(TRIANGLE)
     assert d.indeg == [0, 1, 2]
     assert d.in_adjacency() == [[], [0], [1, 2]]
-    d.reverse(0)
+    assert d.gather((1,), 2, 0) is None  # reverses edge 0
     assert d.head(0) == 0 and d.tail(0) == 1
     assert d.indeg == [1, 0, 2]
     d.add_edge(1, 0)
@@ -71,7 +70,7 @@ def test_loop_reversal_is_noop_and_counts_once():
     g = Graph(1, ((0, 0),))
     d = Orientation(g)
     assert d.indeg == [1]
-    d.reverse(0)
+    assert d.gather((0,), 1, 0) == {0}  # a loop is never on a gather path
     assert d.indeg == [1]
     assert d.head(0) == d.tail(0) == 0
 
@@ -193,8 +192,8 @@ def test_phases_are_logged(caplog):
 
 def test_reorient_single_arc():
     g = Graph(2, ((0, 1),))
-    cert, d0 = reorient_to_source(Orientation(g), 1, {1})
-    assert cert is None
+    stuck, d0 = _gather_on_copy(Orientation(g), 1, {1})
+    assert stuck is None
     assert d0.indeg == [1, 0]
     assert d0.head(0) == 0
 
@@ -202,34 +201,24 @@ def test_reorient_single_arc():
 def test_reorient_directed_cycle_fails():
     d = Orientation(TRIANGLE, [False, False, True])  # 0->1->2->0
     assert d.indeg == [1, 1, 1]
-    cert, d0 = reorient_to_source(d, 1, {0})
-    assert d0 is None
-    assert cert.vertices == frozenset({0, 1, 2})
-    assert cert.induced_edges == 3
-    assert cert.bound == 1 * 3 - 1 * 1
+    stuck, d0 = _gather_on_copy(d, 1, {0})
+    assert stuck == {0, 1, 2}
+    assert induced_edge_count(TRIANGLE, stuck) == 3 > 1 * 3 - 1 * 1
 
 
 def test_reorient_already_source_returns_equal():
     d = Orientation(Graph(2, ((0, 1),)))  # arc 0->1, vertex 0 is a source
-    cert, d0 = reorient_to_source(d, 1, {0})
-    assert cert is None
+    stuck, d0 = _gather_on_copy(d, 1, {0})
+    assert stuck is None
     assert d0.rev == d.rev
     assert d0 is not d  # input not mutated
 
 
 def test_reorient_empty_u0_is_identity():
     d = Orientation(TRIANGLE)
-    cert, d0 = reorient_to_source(d, 2, ())
-    assert cert is None
+    stuck, d0 = _gather_on_copy(d, 2, ())
+    assert stuck is None
     assert d0.rev == d.rev
-
-
-def test_reorient_contract_errors():
-    d = Orientation(TRIANGLE)  # indegrees [0,1,2]
-    with pytest.raises(ContractError):
-        reorient_to_source(d, 1, {0})  # not 1-indegree-bounded
-    with pytest.raises(ContractError):
-        reorient_to_source(d, 2, {0, 1})  # u0 not independent
 
 
 def test_reorient_random_properties():
@@ -249,39 +238,19 @@ def test_reorient_random_properties():
             if all(not (a in trial and b in trial) for a, b in g.edges):
                 u0_ok.add(v)
         before = sorted(tuple(sorted((d.tail(e), d.head(e)))) for e in range(g.m))
-        cert, d0 = reorient_to_source(d, k, u0_ok)
-        if cert is None:
+        stuck, d0 = _gather_on_copy(d, k, u0_ok)
+        if stuck is None:
             assert all(d0.indeg[v] == 0 for v in u0_ok)
             assert max(d0.indeg, default=0) <= k
             after = sorted(tuple(sorted((d0.tail(e), d0.head(e)))) for e in range(g.m))
             assert before == after
+            assert [sorted(es) for es in d0.in_adjacency()] == d0.copy().in_adjacency()
         else:
             failures += 1
-            assert set(cert.vertices) > u0_ok
+            assert stuck > u0_ok
             t = len(u0_ok)
-            assert induced_edge_count(g, cert.vertices) > k * len(cert.vertices) - t * k
+            assert induced_edge_count(g, stuck) > k * len(stuck) - t * k
     assert failures > 10
-
-
-def test_orient_from_forests_single_tree():
-    path = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    fd = ForestDecomposition(path, 1, (0, 0, 0))
-    d = orient_from_forests(fd)
-    assert d.indeg == [0, 1, 1, 1]
-
-
-def test_orient_from_forests_k4_two_forests():
-    # K4 split into two spanning trees: path 0-1-2-3 and the remaining edges
-    fd = ForestDecomposition(K4, 2, (0, 1, 1, 0, 1, 0))
-    assert fd.class_is_acyclic(0) and fd.class_is_acyclic(1)
-    d = orient_from_forests(fd)
-    assert max(d.indeg) <= 2
-
-
-def test_orient_from_forests_edgeless():
-    g = Graph(5, ())
-    d = orient_from_forests(ForestDecomposition(g, 2, ()))
-    assert d.indeg == [0] * 5
 
 
 def test_stuck_certificates_depend_on_the_graph_only():
@@ -300,19 +269,38 @@ def test_stuck_certificates_depend_on_the_graph_only():
             for v in rng.sample(range(g.n), rng.randint(1, min(2, g.n))):
                 if all(not (a in u0 | {v} and b in u0 | {v}) for a, b in g.edges):
                     u0.add(v)
-            cert, _ = reorient_to_source(d, k, u0)
-            if cert is not None:
+            stuck, _ = _gather_on_copy(d, k, u0)
+            if stuck is not None:
                 stuck_reorient += 1
-                assert cert.vertices == _minimal_maximizer(g, u0, k)
+                assert stuck == _minimal_maximizer(g, u0, k)
         # (b) the forest certificate is the least maximizer over the accepted edges
         if g.has_loop():
             continue
         for j in range(g.m):
-            if forest_decomposition(Graph(g.n, g.edges[: j + 1]), k)[0] is not None:
-                accepted = forest_decomposition(Graph(g.n, g.edges[:j]), k)[1]
-                partial = ForestDecomposition(g, k, accepted.assignment + (None,) * (g.m - j))
-                cert = violating_set_from_failed_decomposition(g, partial, j, k)
+            cert = forest_decomposition(Graph(g.n, g.edges[: j + 1]), k)[0]
+            if cert is not None:  # edge j is the one rejected
                 stuck_forest += 1
                 assert cert.vertices == _minimal_maximizer(Graph(g.n, g.edges[:j]), set(g.edges[j]), k)
                 break
     assert stuck_reorient > 30 and stuck_forest > 30
+
+
+def test_gather_on_a_star_scales():
+    # Gathering the centre of a star of in-arcs reverses one edge per step;
+    # taking each out of the centre's in-list by list.remove would shift the
+    # whole list every time: quadratic, a ratio near 3.3 here.
+    sizes = (40_000, 80_000)
+    stars = {n: Graph(n, tuple((leaf, 0) for leaf in range(1, n))) for n in sizes}
+    best = dict.fromkeys(sizes, float("inf"))
+    gc.disable()  # collector pauses depend on what earlier tests left alive
+    try:
+        for _ in range(3):  # interleaved, so a slow spell of the machine hits both sizes
+            for n, g in stars.items():
+                d = Orientation(g)
+                start = time.process_time()  # CPU time: a preempted run does not count
+                assert d.gather((0,), n, 0) is None
+                best[n] = min(best[n], time.process_time() - start)
+                assert d.indeg[0] == 0
+    finally:
+        gc.enable()
+    assert best[80_000] / best[40_000] <= 2.5
