@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .graph import (
     Certificate,
+    ContractError,
     Graph,
     InputError,
     ParameterError,
@@ -182,7 +183,8 @@ def pebble_game_check(g: Graph, p: SparsityParams) -> Certificate | None:
     game = _PebbleGame(g.n, p.k, p.l)
     for u, v in g.edges:
         if not game.try_insert(u, v):
-            assert game.last_region is not None
+            if game.last_region is None:
+                raise ContractError("the pebble game rejected an edge without a region")
             return make_certificate(g, p, game.last_region)
     return None
 

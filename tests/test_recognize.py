@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import json
@@ -198,6 +199,18 @@ except ContractError:
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["raised", "raised"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise instead.
+    package = os.path.dirname(klsparse.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_one_edge_low_range_is_sparse():
