@@ -8,12 +8,13 @@ displacing an edge on the tree path between x's endpoints", a path found
 by climbing from both endpoints to their common ancestor.  A genuinely
 rejected edge proves the graph has no kappa-forest partition.
 
-The builder's trees orient the accepted edges: each is directed from its
-parent end to its child end, so every vertex has at most one in-arc per
-class and indegree at most kappa.  The mid-range driver searches that
-orientation, and on a rejection one ``Orientation.gather`` on it tries to
-make room for the rejected edge at its endpoints; the vertices that still
-reach the endpoints when it stalls form the certificate.
+A rejected edge's failed search certifies it.  Its labelled edges L (the
+edge and all the search reached) are connected, and each has its class-i
+tree path labelled for every other class i, so every class spans V(L) and
+V(L) is the minimal (kappa,kappa)-tight set of the accepted edges holding
+both endpoints: the set an ``Orientation.gather`` of them would stall on.
+Only when all edges are accepted do the trees orient them, from parent to
+child, at most one in-arc per vertex per class, for the mid-range driver.
 """
 from __future__ import annotations
 
@@ -111,13 +112,13 @@ class _Builder:
         self.assignment: list[int | None] = [None] * g.m
         # w ^ across[e] is the other endpoint of edge e at endpoint w.
         self.across = [u ^ v for u, v in g.edges]
-        ids = list(range(g.n))
         self.parent = [[-1] * g.n for _ in range(kappa)]
         self.depth = [[0] * g.n for _ in range(kappa)]
-        self.comp = [ids.copy() for _ in range(kappa)]
+        self.comp = [list(range(g.n)) for _ in range(kappa)]
         self.size = [[1] * g.n for _ in range(kappa)]
         self.adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(kappa)]
         self.searches = self.walked = 0
+        self.labelled: list[int] = []  # a rejected edge and the edges its search reached
 
     def orientation(self) -> Orientation:
         """The accepted edges, ids kept, each directed from parent to child in its class."""
@@ -220,6 +221,7 @@ class _Builder:
                         self._apply_exchange(y, j, pred)
                         return True
                     queue.append(y)
+        self.labelled = [e0, *pred]
         return False
 
     def _apply_exchange(self, x: int, target: int, pred: dict[int, int]) -> None:
@@ -248,22 +250,20 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
     """Partition all edges into kappa forests, or return a (kappa,kappa) violation."""
     if kappa < 1:
         raise ContractError("kappa must be positive")
-    if g.has_loop():
-        raise InputError("forest decomposition requires a loop-free graph")
     builder = _Builder(g, kappa)
-    inserted = 0
-    while inserted < g.m and builder.try_insert(inserted):
+    if 0 in builder.across:  # u ^ v is 0 only on a loop
+        raise InputError("forest decomposition requires a loop-free graph")
+    m, inserted = g.m, 0
+    while inserted < m and builder.try_insert(inserted):
         inserted += 1
     # Every exchange search but a rejected edge's ends in one exchange.
     logger.debug("%d of %d edges inserted into %d forests: %d exchange searches, "
-                 "%d exchanges applied, %d path edges walked", inserted, g.m, kappa,
-                 builder.searches, builder.searches - (inserted < g.m), builder.walked)
-    d = builder.orientation()
-    if inserted == g.m:
-        return None, ForestDecomposition(g, kappa, tuple(builder.assignment), d)
-    logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests",
-                 inserted, *g.edges[inserted], kappa)
-    stuck = d.gather(g.edges[inserted], kappa, kappa - 1)
-    if stuck is None:
-        raise ContractError("rejected edge was insertable; the decomposition is not maximal")
+                 "%d exchanges applied, %d path edges walked", inserted, m, kappa,
+                 builder.searches, builder.searches - (inserted < m), builder.walked)
+    if inserted == m:
+        return None, ForestDecomposition(g, kappa, tuple(builder.assignment), builder.orientation())
+    stuck = {w for e in builder.labelled for w in g.edges[e]}
+    logger.debug("edge %d (%d, %d) rejected: no exchange fits it into %d forests; "
+                 "%d edges labelled, a certificate of %d vertices",
+                 inserted, *g.edges[inserted], kappa, len(builder.labelled), len(stuck))
     return make_certificate(g, SparsityParams(kappa, kappa), stuck), None

@@ -130,19 +130,19 @@ def validate_input(g: Graph, p: SparsityParams) -> str | None:
 
 def verify_certificate(g: Graph, p: SparsityParams, c: Certificate) -> bool:
     """Recompute the violation from scratch, ignoring the certificate's counts."""
-    if p.t == 2 and len(c.vertices) < 3:
-        return False
-    induced = induced_edge_count(g, c.vertices)
-    return induced > sparsity_bound(p, len(c.vertices))
+    size = len(c.vertices)
+    return (p.t < 2 or size >= 3) and induced_edge_count(g, c.vertices) > sparsity_bound(p, size)
 
 
-def make_certificate(g: Graph, p: SparsityParams, vertices: Iterable[int]) -> Certificate:
-    """Materialize a certificate for a known violating set; raises if it does not violate."""
+def make_certificate(g: Graph, p: SparsityParams, vertices: Iterable[int],
+                     induced: int | None = None) -> Certificate:
+    """Certificate for a violating set, else ContractError; a given ``induced`` count is trusted."""
     vs = frozenset(vertices)
-    cert = Certificate(vs, induced_edge_count(g, vs), sparsity_bound(p, len(vs)))
-    if not verify_certificate(g, p, cert):
+    induced = induced_edge_count(g, vs) if induced is None else induced
+    bound = sparsity_bound(p, len(vs))
+    if induced <= bound or (p.t == 2 and len(vs) < 3):
         raise ContractError(f"set {sorted(vs)} does not violate ({p.k},{p.l})-sparsity")
-    return cert
+    return Certificate(vs, induced, bound)
 
 
 def parse_edge_list(text: str) -> Graph:

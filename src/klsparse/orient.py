@@ -12,10 +12,10 @@ pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
 moves indegree off a target set by reversing backward paths to spare
 vertices; when it stalls, the vertices that still reach the targets
 certify the obstruction.  The extended-range driver gathers in place
-before each insertion, the mid-range centroid search gathers in place on
-one engine per forest class and deletes edges as its trees split, and the
-forest certificate gathers on the orientation the forest builder's trees
-give the accepted edges.
+before each insertion, and the mid-range centroid search gathers in place
+on one engine per forest class and deletes edges as its trees split.  (A
+forest rejection needs no gather: its failed exchange search already holds
+the stall set, see ``forests``.)
 """
 from __future__ import annotations
 

@@ -11,12 +11,12 @@ orientation itself.  The three range drivers differ in how they produce the
 orientations and which u0 they probe:
 
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
-* k < l < 2k: decompose into k forests, orient away from the builder's
-  tree roots, and search each of the first l - k classes by centroid
-  decomposition on one engine: gather each centroid c to a source, probe
-  u0 = {c} with eta = l - k at c's neighbours only, then delete c's edges
-  and those between the pieces c leaves, so each piece keeps only its own
-  edges.
+* k < l < 2k: decompose into k forests (a rejected edge's failed exchange
+  search labels the certificate's edges), orient away from the tree roots,
+  and search each of the first l - k classes by centroid decomposition on
+  one engine: gather each centroid c to a source, probe u0 = {c} with
+  eta = l - k at c's neighbours only, then delete c's edges and those
+  between the pieces c leaves, so each piece keeps only its own edges.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
@@ -120,7 +120,7 @@ def check_sparsity_low(g: Graph, p: SparsityParams) -> RecognitionResult:
         raise ContractError("check_sparsity_low requires l <= k")
     cert, d = bounded_orientation(g, p.k)
     if cert is not None:
-        return RecognitionResult(False, make_certificate(g, p, cert.vertices))
+        return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
     found = _superset_violation(d, frozenset(), p.k, p.l)
     if found is not None:
         return RecognitionResult(False, make_certificate(g, p, found))
@@ -229,12 +229,15 @@ def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     """Range k < l < 2k: forest decomposition plus centroid decomposition."""
     if p.t != 1:
         raise ContractError("check_sparsity_mid requires k < l < 2k")
-    reason = validate_input(g, p)
-    if reason is not None:
+    if (reason := validate_input(g, p)) is not None:
         raise InputError(reason)
+    return _mid(g, p)
+
+
+def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     cert, fd = forest_decomposition(g, p.k)
-    if cert is not None:
-        return RecognitionResult(False, make_certificate(g, p, cert.vertices))
+    if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
+        return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
     d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
@@ -256,9 +259,12 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
     """
     if p.t != 2:
         raise ContractError("check_sparsity_high requires 2k <= l < 3k")
-    reason = validate_input(g, p)
-    if reason is not None:
+    if (reason := validate_input(g, p)) is not None:
         raise InputError(reason)
+    return _high(g, p)
+
+
+def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
     d = Orientation._from_arcs(g.n, [])  # each edge enters a gathered source: indegrees <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = p.l + 1 - 2 * p.k
@@ -291,20 +297,14 @@ def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:
     than three vertices).  Structural validation failures raise InputError.
     """
     p = SparsityParams(k, l)
-    reason = validate_input(g, p)
-    if reason is not None:
+    if (reason := validate_input(g, p)) is not None:  # once: the bodies below skip it
         raise InputError(reason)
     if g.m > k * g.n:
         if p.t == 2 and g.n < 3:
             return RecognitionResult(True, None)
         logger.debug("short-circuit: m=%d > k*n=%d", g.m, k * g.n)
-        return RecognitionResult(False, make_certificate(g, p, range(g.n)))
-    if p.t == 0:
-        result = check_sparsity_low(g, p)
-    elif p.t == 1:
-        result = check_sparsity_mid(g, p)
-    else:
-        result = check_sparsity_high(g, p)
+        return RecognitionResult(False, make_certificate(g, p, range(g.n), g.m))
+    result = (check_sparsity_low, _mid, _high)[p.t](g, p)
     logger.debug("check_sparsity(k=%d, l=%d, n=%d, m=%d) -> sparse=%s",
                  k, l, g.n, g.m, result.sparse)
     return result

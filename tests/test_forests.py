@@ -9,6 +9,8 @@ from klsparse import (
     GenSpec,
     Graph,
     InputError,
+    Orientation,
+    check_sparsity,
     format_edge_list,
     forest_decomposition,
     generate,
@@ -52,7 +54,8 @@ def test_tree_single_forest():
 def test_triangle_needs_two_forests(caplog):
     with caplog.at_level(logging.DEBUG, logger="klsparse"):
         cert, fd = forest_decomposition(TRIANGLE, 1)
-    assert "edge 2 (0, 2) rejected: no exchange fits it into 1 forests" in caplog.text
+    assert ("edge 2 (0, 2) rejected: no exchange fits it into 1 forests; "
+            "3 edges labelled, a certificate of 3 vertices") in caplog.text
     assert ("2 of 3 edges inserted into 1 forests: 1 exchange searches, "
             "0 exchanges applied, 2 path edges walked") in caplog.text
     assert fd is None
@@ -234,3 +237,62 @@ def test_decompose_output_is_pinned(tmp_path, capsys, caplog):
         "51 52 54 55 57\n")
     assert ("58 of 58 edges inserted into 2 forests: 5 exchange searches, "
             "5 exchanges applied, 105 path edges walked") in caplog.text
+
+
+def _first_rejected(g: Graph, kappa: int) -> int:
+    b = _Builder(g, kappa)
+    e = 0
+    while e < g.m and b.try_insert(e):
+        e += 1
+    return e
+
+
+def _rejecting_instances():
+    """Seeded loop-free multigraphs with parallel edges, and planted violations."""
+    rng = random.Random(707)
+    for _ in range(600):
+        n, kappa = rng.randint(2, 12), rng.randint(1, 4)
+        edges = []
+        for _ in range(rng.randint(0, kappa * n + 2)):
+            edges.append(tuple(rng.sample(range(n), 2)))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        yield Graph(n, tuple(edges)), kappa
+    for k, l in ((2, 3), (3, 4), (3, 5)):
+        for n in (20, 60, 150):
+            for seed in range(3):
+                yield generate(GenSpec("planted-violation", n, k, l, seed)), k
+
+
+def test_certificate_is_the_gather_stall_set_on_the_accepted_prefix():
+    # The old route: orient the accepted edges by the builder's trees and
+    # gather the rejected edge's endpoints; the stall set is the certificate.
+    rejected = 0
+    for g, kappa in _rejecting_instances():
+        cert, _ = forest_decomposition(g, kappa)
+        if cert is None:
+            continue
+        rejected += 1
+        e = _first_rejected(g, kappa)
+        no_cert, prefix = forest_decomposition(Graph(g.n, g.edges[:e]), kappa)
+        assert no_cert is None
+        stuck = prefix.orientation.gather(g.edges[e], kappa, kappa - 1)
+        assert stuck is not None and cert.vertices == frozenset(stuck)
+        assert cert.induced_edges == induced_edge_count(g, stuck) > cert.bound
+        assert cert.bound == kappa * len(stuck) - kappa
+    assert rejected > 150
+
+
+def test_rejection_builds_no_orientation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the rejection path built or searched an orientation")
+
+    monkeypatch.setattr(_Builder, "orientation", forbidden)
+    monkeypatch.setattr(Orientation, "gather", forbidden)
+    cert, fd = forest_decomposition(TRIANGLE, 1)
+    assert fd is None and cert.vertices == frozenset({0, 1, 2})
+    # (2,3) with 7 <= 2n edges: not short-circuited, rejected at the forest stage
+    result = check_sparsity(Graph(4, K4.edges + ((0, 1),)), 2, 3)
+    assert not result.sparse
+    assert result.certificate.vertices == frozenset(range(4))
+    assert result.certificate.induced_edges == 7 > 5 == result.certificate.bound
