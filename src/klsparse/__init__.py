@@ -22,9 +22,6 @@ from .recognize import (
     RecognitionResult,
     certificate_json,
     check_sparsity,
-    check_sparsity_high,
-    check_sparsity_low,
-    check_sparsity_mid,
     check_superset_sparsity,
     saturated_violation,
 )
@@ -45,9 +42,6 @@ __all__ = [
     "brute_force_check",
     "certificate_json",
     "check_sparsity",
-    "check_sparsity_high",
-    "check_sparsity_low",
-    "check_sparsity_mid",
     "check_superset_sparsity",
     "forest_decomposition",
     "format_edge_list",

@@ -39,13 +39,7 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _check_kappa(kappa: int) -> None:
-    if kappa < 1:
-        raise ParameterError(f"kappa must be at least 1, got {kappa}")
-
-
 def _cmd_decompose(args) -> int:
-    _check_kappa(args.kappa)
     g = _read_graph(args.file)
     cert, fd = forest_decomposition(g, args.kappa)
     if cert is None:
@@ -57,7 +51,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    _check_kappa(args.kappa)
     g = _read_graph(args.file)
     cert, d = bounded_orientation(g, args.kappa)
     if cert is None:

@@ -22,7 +22,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Certificate, ContractError, Graph, InputError, SparsityParams, make_certificate
+from .graph import Certificate, Graph, InputError, ParameterError, SparsityParams, make_certificate
 from .orient import Orientation
 
 logger = logging.getLogger(__name__)
@@ -32,21 +32,20 @@ logger = logging.getLogger(__name__)
 class ForestDecomposition:
     """Assignment of each edge id to one of kappa acyclic classes.
 
-    ``orientation`` is the builder's: every edge directed from parent to
-    child in its class's tree, edge ids kept.  It is None on a record built
-    by hand.
+    Only ``forest_decomposition`` builds one.  ``orientation`` is the
+    builder's: every edge directed from parent to child in its class's
+    tree, edge ids kept.
     """
 
     graph: Graph
     kappa: int
-    assignment: tuple[int | None, ...]
-    orientation: Orientation | None = field(default=None, compare=False, repr=False)
+    assignment: tuple[int, ...]
+    orientation: Orientation = field(compare=False, repr=False)
 
     def __post_init__(self):
         self._classes: list[list[int]] = [[] for _ in range(self.kappa)]
         for e, c in enumerate(self.assignment):
-            if c is not None:
-                self._classes[c].append(e)
+            self._classes[c].append(e)
 
     def class_edges(self, i: int) -> list[int]:
         """Edge ids of class i in increasing order; shared, so do not mutate."""
@@ -249,7 +248,7 @@ class _Builder:
 def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, ForestDecomposition | None]:
     """Partition all edges into kappa forests, or return a (kappa,kappa) violation."""
     if kappa < 1:
-        raise ContractError("kappa must be positive")
+        raise ParameterError(f"kappa must be at least 1, got {kappa}")
     builder = _Builder(g, kappa)
     if 0 in builder.across:  # u ^ v is 0 only on a loop
         raise InputError("forest decomposition requires a loop-free graph")

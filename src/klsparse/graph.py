@@ -7,7 +7,8 @@ indegree of their vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 
@@ -31,13 +32,18 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        try:  # index, unlike int, refuses 2.9 and "2"
+            n = index(self.n)
+            normalized = tuple((index(u), index(v)) for u, v in self.edges)
+        except TypeError as exc:
+            raise InputError(f"vertex count and endpoints must be integers: {exc}") from None
+        if n < 0:
             raise InputError("vertex count must be nonnegative")
-        normalized = tuple((int(u), int(v)) for u, v in self.edges)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", normalized)
         for u, v in normalized:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge endpoint out of range: ({u}, {v}) with n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
 
     @property
     def m(self) -> int:

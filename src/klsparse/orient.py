@@ -23,7 +23,8 @@ import logging
 from collections import deque
 from typing import Container, Iterable
 
-from .graph import Certificate, ContractError, Graph, induced_edge_count
+from .graph import (Certificate, ContractError, Graph, ParameterError, SparsityParams,
+                    make_certificate)
 
 logger = logging.getLogger(__name__)
 
@@ -86,8 +87,10 @@ class Orientation:
         self.edges[e] = None
 
     def copy(self) -> "Orientation":
+        """An independent engine: indegrees and any built in-lists are copied, not recounted."""
         d = Orientation.__new__(Orientation)
-        d._set(self.n, list(self.edges), list(self.rev))
+        d.n, d.edges, d.rev, d.indeg = self.n, list(self.edges), list(self.rev), list(self.indeg)
+        d._inc = None if self._inc is None else [list(es) for es in self._inc]
         return d
 
     def in_adjacency(self) -> list[list[int]]:
@@ -100,8 +103,8 @@ class Orientation:
         return self._inc
 
     def induced(self, xs) -> int:
-        """Number of edges with both endpoints in the set xs."""
-        return sum(1 for u, v in self.edges if u in xs and v in xs)
+        """Number of edges, deleted ones skipped, with both endpoints in the set xs."""
+        return sum(1 for ends in self.edges if ends and ends[0] in xs and ends[1] in xs)
 
     def max_indegree(self) -> int:
         return max(self.indeg, default=0)
@@ -175,7 +178,7 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     vertices are spare, so they never enter it.
     """
     if kappa < 1:
-        raise ContractError("kappa must be positive")
+        raise ParameterError(f"kappa must be at least 1, got {kappa}")
     d = Orientation(g)
     edges, rev, indeg = d.edges, d.rev, d.indeg
     over = [v for v, i in enumerate(indeg) if i > kappa]
@@ -247,10 +250,7 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
         hoffman = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
         logger.debug("indegree bound %d fails after %d reversal phases, %d edges reversed: "
                      "violating set of %d vertices", kappa, phases, flipped, len(hoffman))
-        induced = induced_edge_count(g, hoffman)
-        if not hoffman or induced <= kappa * len(hoffman):
-            raise ContractError(f"reversal phases stalled on a non-violating set {sorted(hoffman)}")
-        return Certificate(frozenset(hoffman), induced, kappa * len(hoffman)), None
+        return make_certificate(g, SparsityParams(kappa, 0), hoffman), None
     logger.debug("indegree bound %d met after %d reversal phases, %d edges reversed",
                  kappa, phases, flipped)
     if d.max_indegree() > kappa:

@@ -99,9 +99,8 @@ def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate 
             raise ContractError(f"u0 vertex {v} out of range")
         if d0.indeg[v] != 0:
             raise ContractError("orientation is not u0-source")
-    for u, v in d0.edges:
-        if u in u0 and v in u0:
-            raise ContractError("u0 must be independent")
+    if any(ends and u0.issuperset(ends) for ends in d0.edges):  # deleted slots are None
+        raise ContractError("u0 must be independent")
     found = _superset_violation(d0, u0, k, l)
     if found is None:
         return None
@@ -114,10 +113,8 @@ def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate 
     return Certificate(frozenset(found), induced, bound)
 
 
-def check_sparsity_low(g: Graph, p: SparsityParams) -> RecognitionResult:
+def _low(g: Graph, p: SparsityParams) -> RecognitionResult:
     """Range l <= k: bounded orientation, then one rooted-connectivity query."""
-    if p.t != 0:
-        raise ContractError("check_sparsity_low requires l <= k")
     cert, d = bounded_orientation(g, p.k)
     if cert is not None:
         return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
@@ -215,9 +212,8 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
     """
     if p.t != 1:
         raise ContractError("saturated_violation requires k < l < 2k")
-    tree_edges = tuple(tree_edges)
-    fd = ForestDecomposition(Graph(d.n, tree_edges), 1, (0,) * len(tree_edges))
-    if len(tree_edges) != d.n - 1 or len(fd.components(0)) != 1:
+    tree = Graph(d.n, tuple(tree_edges))
+    if tree.m != d.n - 1 or tree.has_loop() or (fd := forest_decomposition(tree, 1)[1]) is None:
         raise ContractError("tree must span the orientation's vertex set")
     if d.max_indegree() > p.k:
         raise ContractError("orientation is not k-indegree-bounded")
@@ -225,16 +221,8 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
     return None if found is None else make_certificate(Graph(d.n, tuple(d.edges)), p, found)
 
 
-def check_sparsity_mid(g: Graph, p: SparsityParams) -> RecognitionResult:
-    """Range k < l < 2k: forest decomposition plus centroid decomposition."""
-    if p.t != 1:
-        raise ContractError("check_sparsity_mid requires k < l < 2k")
-    if (reason := validate_input(g, p)) is not None:
-        raise InputError(reason)
-    return _mid(g, p)
-
-
 def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
+    """Range k < l < 2k: forest decomposition plus centroid decomposition."""
     cert, fd = forest_decomposition(g, p.k)
     if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
         return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
@@ -248,7 +236,7 @@ def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     return RecognitionResult(True, None)
 
 
-def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
+def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
     """Range 2k <= l < 3k: incremental insertion over a growing sparse subgraph.
 
     Edge uv is insertable iff the current subgraph has no set strictly
@@ -257,14 +245,6 @@ def check_sparsity_high(g: Graph, p: SparsityParams) -> RecognitionResult:
     probe searches only the neighbours of u and v; the full query runs
     once, after a failed probe, for the certificate.
     """
-    if p.t != 2:
-        raise ContractError("check_sparsity_high requires 2k <= l < 3k")
-    if (reason := validate_input(g, p)) is not None:
-        raise InputError(reason)
-    return _high(g, p)
-
-
-def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
     d = Orientation._from_arcs(g.n, [])  # each edge enters a gathered source: indegrees <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = p.l + 1 - 2 * p.k
@@ -304,7 +284,7 @@ def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:
             return RecognitionResult(True, None)
         logger.debug("short-circuit: m=%d > k*n=%d", g.m, k * g.n)
         return RecognitionResult(False, make_certificate(g, p, range(g.n), g.m))
-    result = (check_sparsity_low, _mid, _high)[p.t](g, p)
+    result = (_low, _mid, _high)[p.t](g, p)
     logger.debug("check_sparsity(k=%d, l=%d, n=%d, m=%d) -> sparse=%s",
                  k, l, g.n, g.m, result.sparse)
     return result

@@ -30,14 +30,15 @@ maximal sink side of a minimum s-sink cut: a set fixed by the graph, since
 its cut value k|X| - i(X) - e(u0, X) does not depend on the orientation.
 No minimality of the returned set is guaranteed.
 
-A caller that knows vertices every violating set must meet can pass them
-as the sinks: the extended-range driver passes the neighbours of u and v,
-the mid-range centroid search the neighbours of the centroid (the locality
+``rooted_violation`` is the checked query.  The drivers call
+``rooted_search``, which skips the input checks: each keeps every
+indegree at most k on its own engine, so no probe pays an O(n) pass.  A
+driver that knows vertices every violating set must meet passes them to
+it as the sinks: the extended-range driver the neighbours of u and v, the
+mid-range centroid search the neighbours of the centroid (the locality
 lemmas in ``recognize``).  Then the per-sink search runs at every eta,
 eta = 1 included, over those sinks alone, and returns the first one short
-of eta paths without the O(n + m) forward reach.  The drivers call
-``rooted_search``, which skips the input checks: each keeps every
-indegree at most k on its own engine, so no probe pays an O(n) pass.
+of eta paths without the O(n + m) forward reach.
 """
 from __future__ import annotations
 
@@ -48,27 +49,28 @@ from .graph import InputError
 from .orient import Orientation, unreached
 
 
-def rooted_violation(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
+def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
     """Return a nonempty X avoiding u0 with fewer than eta entering arcs, or an empty set.
 
     The arcs entering X are the edges into X whose tail lies outside X and
     u0, plus k - indeg(v) root arcs into every v in X; edges into u0 play
     no part.  Every indegree must be at most k.  Deterministic: the
     lowest-id failing sink wins.
-
-    Given ``sinks``, only those are searched, in their order, at every eta,
-    and the answer is decided but not certified: the result is the first
-    sink short of eta arc-disjoint paths, alone, or an empty set.
     """
     if eta < 0:
         raise InputError("eta must be nonnegative")
     if d.max_indegree() > k:
         raise InputError(f"an indegree exceeds k={k}")
-    return rooted_search(d, u0, k, eta, sinks)
+    return rooted_search(d, u0, k, eta)
 
 
 def rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
-    """``rooted_violation`` without its checks: eta >= 0 and indegrees at most k are assumed."""
+    """``rooted_violation`` without its checks: eta >= 0 and indegrees at most k are assumed.
+
+    Given ``sinks``, only those are searched, in their order, at every eta,
+    and the answer is decided but not certified: the result is the first
+    sink short of eta arc-disjoint paths, alone, or an empty set.
+    """
     if eta == 0:
         return set()
     n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()

@@ -32,6 +32,15 @@ def test_graph_rejects_bad_endpoints():
         Graph(-1, ())
 
 
+def test_graph_rejects_non_integers():
+    # int() would truncate 2.9 into a parallel (0, 2) edge
+    for n, edges in ((3, ((0, 2.9), (0, 2))), (2.7, ()), (3, (("0", "1"),))):
+        with pytest.raises(InputError):
+            Graph(n, edges)
+    g = Graph(2, ((False, True),))  # bool is an int
+    assert g.edges == ((0, 1),) and type(g.edges[0][1]) is int
+
+
 def test_induced_edge_count_triangle():
     assert induced_edge_count(TRIANGLE, {0, 1, 2}) == 3
     assert induced_edge_count(TRIANGLE, {0, 1}) == 1

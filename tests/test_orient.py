@@ -9,6 +9,7 @@ from klsparse import (
     Orientation,
     bounded_orientation,
     check_sparsity,
+    check_superset_sparsity,
     forest_decomposition,
     induced_edge_count,
 )
@@ -63,7 +64,23 @@ def test_orientation_indegree_cache_and_reverse():
     d.add_edge(1, 0)
     assert d.indeg == [2, 0, 2]
     # the kept in-lists match ones built from scratch
-    assert d.in_adjacency() == d.copy().in_adjacency() == [[0, 3], [], [1, 2]]
+    scratch = Orientation(Graph(3, tuple(d.edges)), d.rev)
+    assert d.in_adjacency() == scratch.in_adjacency() == [[0, 3], [], [1, 2]]
+
+
+def test_copy_and_induced_after_delete():
+    # A deleted edge's slot is None: the copy takes the indegrees and
+    # in-lists as they stand, and induced skips the slot.
+    d = Orientation(TRIANGLE)
+    d.delete(0)  # builds the in-lists
+    c = d.copy()
+    assert c.indeg == d.indeg == [0, 0, 2]
+    assert c.in_adjacency() == d.in_adjacency() == [[], [], [1, 2]]
+    assert d.induced({0, 1, 2}) == c.induced({0, 1, 2}) == 2 and d.induced({0, 1}) == 0
+    c.delete(1)  # the copy is independent
+    assert d.indeg == [0, 0, 2] and d.in_adjacency() == [[], [], [1, 2]]
+    assert Orientation(TRIANGLE).copy().in_adjacency() == [[], [0], [1, 2]]  # none built yet
+    assert check_superset_sparsity(d, {0}, 2, 3) is None
 
 
 def test_loop_reversal_is_noop_and_counts_once():
@@ -244,7 +261,8 @@ def test_reorient_random_properties():
             assert max(d0.indeg, default=0) <= k
             after = sorted(tuple(sorted((d0.tail(e), d0.head(e)))) for e in range(g.m))
             assert before == after
-            assert [sorted(es) for es in d0.in_adjacency()] == d0.copy().in_adjacency()
+            scratch = Orientation(g, d0.rev)
+            assert [sorted(es) for es in d0.in_adjacency()] == scratch.in_adjacency()
         else:
             failures += 1
             assert stuck > u0_ok

@@ -23,9 +23,6 @@ from klsparse import (
     brute_force_check,
     certificate_json,
     check_sparsity,
-    check_sparsity_high,
-    check_sparsity_low,
-    check_sparsity_mid,
     check_superset_sparsity,
     forest_decomposition,
     induced_edge_count,
@@ -211,6 +208,20 @@ def test_package_has_no_assert_statements():
                 tree = ast.parse(f.read())
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name is an edit to this list.
+    assert sorted(klsparse.__all__) == [
+        "Certificate", "ContractError", "ForestDecomposition", "GenSpec", "Graph", "InputError",
+        "Orientation", "ParameterError", "RecognitionResult", "SparsityParams",
+        "bounded_orientation", "brute_force_check", "certificate_json", "check_sparsity",
+        "check_superset_sparsity", "forest_decomposition", "format_edge_list", "generate",
+        "induced_edge_count", "make_certificate", "parse_edge_list", "pebble_game_check",
+        "rooted_violation", "saturated_violation", "sparsity_bound", "validate_input",
+        "verify_certificate",
+    ]
+    assert all(hasattr(klsparse, name) for name in klsparse.__all__)
 
 
 def test_one_edge_low_range_is_sparse():
@@ -479,7 +490,7 @@ def test_high_range_prefix_soundness():
         if brute_force_check(g, p) is None:
             # every prefix of a sparse graph's edges is sparse too
             for i in range(len(edges) + 1):
-                assert check_sparsity_high(Graph(n, edges[:i]), p).sparse
+                assert check_sparsity(Graph(n, edges[:i]), k, l).sparse
 
 
 def test_saturation_completeness_planted():
@@ -523,15 +534,6 @@ def test_verdict_monotone_in_l():
         for smaller, larger in zip(verdicts, verdicts[1:]):
             if larger:
                 assert smaller
-
-
-def test_range_drivers_reject_wrong_range():
-    with pytest.raises(ContractError):
-        check_sparsity_low(TRIANGLE, SparsityParams(2, 3))
-    with pytest.raises(ContractError):
-        check_sparsity_mid(TRIANGLE, SparsityParams(2, 2))
-    with pytest.raises(ContractError):
-        check_sparsity_high(TRIANGLE, SparsityParams(2, 3))
 
 
 def test_certificate_json_round_trip():

@@ -5,8 +5,7 @@ from collections import deque
 import pytest
 
 import klsparse.recognize as recognize
-from klsparse import (Graph, InputError, Orientation, SparsityParams, check_sparsity_high,
-                      check_sparsity_mid, rooted_violation)
+from klsparse import Graph, InputError, Orientation, check_sparsity, rooted_violation
 from klsparse.rooted import rooted_search
 
 
@@ -224,9 +223,9 @@ def test_indegree_above_k_is_an_input_error():
 
 def test_given_sinks_decide_without_a_certificate():
     d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
-    assert rooted_violation(d, {0, 1}, 2, 1, [4, 3, 2]) == {3}  # 4 is spare, 3 fails
-    assert rooted_violation(d, {0, 1}, 2, 1, [4]) == set()
-    assert rooted_violation(d, {0, 1}, 2, 1, []) == set()
+    assert rooted_search(d, {0, 1}, 2, 1, [4, 3, 2]) == {3}  # 4 is spare, 3 fails
+    assert rooted_search(d, {0, 1}, 2, 1, [4]) == set()
+    assert rooted_search(d, {0, 1}, 2, 1, []) == set()
 
 
 def _checked_against_full_query(probes):
@@ -255,7 +254,7 @@ def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         edges = [tuple(rng.sample(e, 2)) for e in pairs[: rng.randint(1, min(len(pairs), k * n))]]
-        check_sparsity_high(Graph(n, tuple(edges)), SparsityParams(k, l))
+        check_sparsity(Graph(n, tuple(edges)), k, l)
     failed = [eta for eta, local in probes if local]
     assert len(failed) > 300 and len(probes) - len(failed) > 1500
     assert set(failed) == {1, 2, 3}
@@ -274,7 +273,7 @@ def test_neighbour_sinks_decide_every_centroid_probe(monkeypatch):
         l = rng.randint(k + 1, 2 * k - 1)
         n = rng.randint(2, 12)
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, k * (n - 1)))]
-        check_sparsity_mid(Graph(n, tuple(edges)), SparsityParams(k, l))
+        check_sparsity(Graph(n, tuple(edges)), k, l)
     failed = [eta for eta, local in probes if local]
     assert len(failed) > 300 and len(probes) - len(failed) > 1500
     assert set(failed) == {1, 2}
