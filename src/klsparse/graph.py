@@ -75,6 +75,11 @@ class SparsityParams:
     l: int
 
     def __post_init__(self):
+        try:  # as in Graph: 1.5 and "2" are refused, bool passes
+            object.__setattr__(self, "k", index(self.k))
+            object.__setattr__(self, "l", index(self.l))
+        except TypeError as exc:
+            raise ParameterError(f"k and l must be integers: {exc}") from None
         if self.k < 1:
             raise ParameterError(f"k must be positive, got {self.k}")
         if not 0 <= self.l < 3 * self.k:

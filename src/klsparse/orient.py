@@ -6,16 +6,18 @@ one by Dinic-style phases of reversal paths on the orientation itself
 (Even and Tarjan 1975; Frank and Gyarfas 1976), or returns such an X.
 
 ``Orientation`` is the one mutable engine every range shares: edge
-endpoints, directions, indegrees, and in-lists that are built on the first
-search and kept current after it.  Its search ``gather`` (the
-pebble-game gather of Gabow and Westermann, *Forests, frames, and games*),
-moves indegree off a target set by reversing backward paths to spare
-vertices; when it stalls, the vertices that still reach the targets
-certify the obstruction.  The extended-range driver gathers in place
-before each insertion, and the mid-range centroid search gathers in place
-on one engine per forest class and deletes edges as its trees split.  (A
-forest rejection needs no gather: its failed exchange search already holds
-the stall set, see ``forests``.)
+endpoints, directions, indegrees, in-lists that are built on the first
+search and kept current after it, and scratch arrays, allocated by the
+first search and never copied, on which both path searches, ``gather`` and
+``rooted.rooted_search``, stamp their visits.  ``gather`` (the pebble-game
+gather of Gabow and Westermann, *Forests, frames, and games*) moves
+indegree off a target set by reversing backward paths to spare vertices;
+when it stalls, the vertices that still reach the targets certify the
+obstruction.  The extended-range driver gathers in place before each
+insertion, and the mid-range centroid search gathers in place on one
+engine per forest class and deletes edges as its trees split.  (A forest
+rejection needs no gather: its failed exchange search already holds the
+stall set, see ``forests``.)
 """
 from __future__ import annotations
 
@@ -39,9 +41,13 @@ class Orientation:
     ``delete`` and the phases of ``bounded_orientation``, so an orientation
     that is never searched never pays for them.  A deleted edge keeps its
     id, its slot in ``edges`` becomes None, and every search skips it.
+
+    Each search takes a fresh stamp from ``scratch``, counts v as seen when
+    ``mark[v]`` equals it and keeps in ``via[v]`` the edge it reached v by.
+    These arrays are None until the first search; ``copy`` makes its own.
     """
 
-    __slots__ = ("n", "edges", "rev", "indeg", "_inc")
+    __slots__ = ("n", "edges", "rev", "indeg", "_inc", "mark", "via", "_stamp")
 
     def __init__(self, graph: Graph, rev: list[bool] | None = None):
         rev = [False] * graph.m if rev is None else list(rev)
@@ -57,7 +63,7 @@ class Orientation:
         return d
 
     def _set(self, n: int, edges: list[tuple[int, int]], rev: list[bool]) -> None:
-        self.n, self.edges, self.rev, self._inc = n, edges, rev, None
+        self.n, self.edges, self.rev, self._inc, self.mark = n, edges, rev, None, None
         indeg = [0] * n
         for (u, v), r in zip(edges, rev):
             indeg[u if r else v] += 1
@@ -91,7 +97,15 @@ class Orientation:
         d = Orientation.__new__(Orientation)
         d.n, d.edges, d.rev, d.indeg = self.n, list(self.edges), list(self.rev), list(self.indeg)
         d._inc = None if self._inc is None else [list(es) for es in self._inc]
+        d.mark = None
         return d
+
+    def scratch(self) -> tuple[list[int], list[int], int]:
+        """Start a search: ``mark``, ``via`` and a stamp no entry of ``mark`` holds yet."""
+        if self.mark is None:
+            self.mark, self.via, self._stamp = [0] * self.n, [-1] * self.n, 0
+        self._stamp += 1
+        return self.mark, self.via, self._stamp
 
     def in_adjacency(self) -> list[list[int]]:
         """Edge ids grouped by current head; kept current, so do not mutate."""
@@ -110,43 +124,45 @@ class Orientation:
         return max(self.indeg, default=0)
 
     def gather(self, targets, k: int, budget: int) -> set[int] | None:
-        """Reverse paths until the indegree sum on targets is at most budget.
+        """Reverse paths until the indegree sum on the distinct targets is at most budget.
 
-        Assumes every indegree is at most k.  One step searches breadth-first backward from the targets to the
-        first vertex outside them with indegree below k and reverses that
-        path, which moves one unit of indegree off the targets.  Returns
-        None on success.  When no such vertex reaches the targets, returns
-        the vertices that do (targets included): every one outside the
-        targets has indegree k and no arc enters the set, so it is the
-        unique minimal X containing the targets that maximizes
-        i(X) - k|X - targets|, a set fixed by the graph alone.
+        Assumes every indegree is at most k.  One step searches breadth-first
+        backward from the targets to the first vertex outside them with
+        indegree below k and reverses that path, which moves one unit of
+        indegree off the targets.  Returns None on success.  When no such
+        vertex reaches the targets, returns the vertices that do (targets
+        included): every one outside the targets has indegree k and no arc
+        enters the set, so it is the unique minimal X containing the targets
+        that maximizes i(X) - k|X - targets|, a set fixed by the graph alone.
         """
-        inc, indeg = self.in_adjacency(), self.indeg
-        while sum(indeg[v] for v in targets) > budget:
-            parent: dict[int, int] = {}
-            seen = set(targets)
-            queue = deque(targets)
+        edges, rev, indeg, inc = self.edges, self.rev, self.indeg, self.in_adjacency()
+        for _ in range(sum(indeg[v] for v in targets) - budget):
+            mark, via, stamp = self.scratch()
+            queue = list(targets)
+            for t in queue:
+                mark[t], via[t] = stamp, -1
             slack = -1
-            while queue and slack < 0:
-                for e in inc[queue.popleft()]:
-                    tl = self.tail(e)
-                    if tl not in seen:
-                        seen.add(tl)
-                        parent[tl] = e
+            for w in queue:
+                for e in inc[w]:
+                    a, b = edges[e]
+                    tl = b if rev[e] else a
+                    if mark[tl] != stamp:
+                        mark[tl], via[tl] = stamp, e
                         if indeg[tl] < k:
                             slack = tl
                             break
                         queue.append(tl)
-            if slack < 0:
-                return seen
+                if slack >= 0:
+                    break
+            else:
+                return set(queue)  # every marked vertex
             # Flip the path; only its two ends change indegree.  An edge
             # leaves its old head's in-list by a swap with the last entry,
             # so a hub's list is never shifted.
             indeg[slack] += 1
-            while slack in parent:
-                e = parent[slack]
+            while (e := via[slack]) >= 0:
                 head = self.head(e)
-                self.rev[e] = not self.rev[e]
+                rev[e] = not rev[e]
                 old = inc[head]
                 old[old.index(e)] = old[-1]
                 old.pop()

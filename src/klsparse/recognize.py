@@ -279,14 +279,14 @@ def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:
     p = SparsityParams(k, l)
     if (reason := validate_input(g, p)) is not None:  # once: the bodies below skip it
         raise InputError(reason)
-    if g.m > k * g.n:
+    if g.m > p.k * g.n:
         if p.t == 2 and g.n < 3:
             return RecognitionResult(True, None)
-        logger.debug("short-circuit: m=%d > k*n=%d", g.m, k * g.n)
+        logger.debug("short-circuit: m=%d > k*n=%d", g.m, p.k * g.n)
         return RecognitionResult(False, make_certificate(g, p, range(g.n), g.m))
     result = (_low, _mid, _high)[p.t](g, p)
     logger.debug("check_sparsity(k=%d, l=%d, n=%d, m=%d) -> sparse=%s",
-                 k, l, g.n, g.m, result.sparse)
+                 p.k, p.l, g.n, g.m, result.sparse)
     return result
 
 

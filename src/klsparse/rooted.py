@@ -15,11 +15,13 @@ side, initially {s}, collects the sinks already shown to have eta
 arc-disjoint paths from s.  Each remaining sink, in increasing id order,
 asks for eta augmenting paths from the root side, each found by a
 breadth-first search backward from the sink over the residual network that
-stops at the first vertex with root capacity left or on the root side; the
-flow is kept only on the edges this sink's paths use.  A sink that gets
-eta paths joins the root side, which is sound by Menger: no set with fewer
-than eta entering arcs can contain it.  So a sink with eta spare indegree
-settles without a search, and most searches stay near their sink.
+stops at the first vertex with root capacity left or on the root side.  It
+stamps visits on the engine's scratch arrays, keeping in ``via[v]`` the edge
+of the step from v toward the sink.  The flow is kept only on the edges
+this sink's paths use.  A sink that gets eta paths joins the root side,
+which is sound by Menger: no set with fewer than eta entering arcs can
+contain it.  So a sink with eta spare indegree settles without a search,
+and most searches stay near their sink.
 
 The first sink short of eta paths is the lowest-id sink that the root
 cannot reach by eta arc-disjoint paths, since the root side holds only
@@ -41,9 +43,6 @@ eta = 1 included, over those sinks alone, and returns the first one short
 of eta paths without the O(n + m) forward reach.
 """
 from __future__ import annotations
-
-from collections import deque
-from itertools import chain
 
 from .graph import InputError
 from .orient import Orientation, unreached
@@ -84,34 +83,39 @@ def rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
     for sink in sinks if local else range(n if eta > 1 else 0):
         if k - indeg[sink] >= eta or sink in u0:
             continue  # eta root arcs, or deleted
-        flow.clear()
-        out_flow.clear()
-        spent.clear()
+        if spent or out_flow:  # an earlier sink pushed a path
+            flow.clear()
+            out_flow.clear()
+            spent.clear()
         for path in range(1, eta + 1):
-            # parent[v] = (edge, w): the residual step from v toward the sink
-            parent: dict[int, tuple[int, int]] = {sink: (-1, sink)}
-            queue = deque([sink])
+            mark, via, stamp = d.scratch()
+            mark[sink] = stamp
             start = sink if k - indeg[sink] > spent.get(sink, 0) else -1
-            while queue and start < 0:
-                w = queue.popleft()
-                for e in chain(inc[w], out_flow.get(w, ())):
+            queue = [sink] if start < 0 else []
+            for w in queue:
+                # Edges in flow out of w lead forward; a saturated edge into w does not lead back.
+                for e in inc[w] + out_flow[w] if flow and w in out_flow else inc[w]:
                     a, b = edges[e]
-                    if e in flow and (a if rev[e] else b) == w:
-                        continue  # a saturated edge into w
+                    if flow and e in flow and (a if rev[e] else b) == w:
+                        continue
                     v = a + b - w
-                    if v not in parent and v not in u0:
-                        parent[v] = (e, w)
-                        if v in rooted or k - indeg[v] > spent.get(v, 0):
+                    if mark[v] != stamp and v not in u0:
+                        mark[v], via[v] = stamp, e
+                        if v in rooted or (indeg[v] < k and k - indeg[v] > spent.get(v, 0)):
                             start = v
                             break
                         queue.append(v)
+                if start >= 0:
+                    break
             if start < 0 or path == eta:
                 break  # short of eta paths, or settled: the last path is never pushed
             if start not in rooted:
                 spent[start] = spent.get(start, 0) + 1
             node = start
             while node != sink:
-                e, nxt = parent[node]
+                e = via[node]
+                a, b = edges[e]
+                nxt = a + b - node
                 if e in flow:
                     flow.remove(e)
                     out_flow[nxt].remove(e)

@@ -8,6 +8,7 @@ from klsparse import (
     InputError,
     ParameterError,
     SparsityParams,
+    check_sparsity,
     format_edge_list,
     induced_edge_count,
     parse_edge_list,
@@ -88,6 +89,19 @@ def test_sparsity_params_ranges():
         SparsityParams(2, -1)
     with pytest.raises(ParameterError):
         SparsityParams(0, 0)
+
+
+def test_sparsity_params_reject_non_integers():
+    # 1.5 used to pass and answer for a range that does not exist
+    path = Graph(3, ((0, 1), (1, 2)))
+    for k, l in ((1.5, 1), (2.5, 3), (2, 3.0), ("2", 3)):
+        with pytest.raises(ParameterError):
+            SparsityParams(k, l)
+        with pytest.raises(ParameterError):
+            check_sparsity(path, k, l)
+    p = SparsityParams(True, False)  # bool is an int
+    assert (p.k, p.l, p.t) == (1, 0, 0) and type(p.k) is int
+    assert check_sparsity(path, True, 1).sparse
 
 
 def test_validate_input_per_range():

@@ -3,6 +3,7 @@ import itertools
 import logging
 import random
 import time
+from collections import deque
 
 from klsparse import (
     Graph,
@@ -13,6 +14,8 @@ from klsparse import (
     forest_decomposition,
     induced_edge_count,
 )
+from klsparse.orient import unreached
+from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -322,3 +325,189 @@ def test_gather_on_a_star_scales():
     finally:
         gc.enable()
     assert best[80_000] / best[40_000] <= 2.5
+
+
+def _reference_gather(d: Orientation, targets, k: int, budget: int) -> set[int] | None:
+    """``Orientation.gather`` with a fresh parent dict, seen set and deque per search.
+
+    The engine's stamped gather must match it step for step: the same
+    return value, directions, indegrees and in-list order.
+    """
+    inc, indeg = d.in_adjacency(), d.indeg
+    while sum(indeg[v] for v in targets) > budget:
+        parent: dict[int, int] = {}
+        seen = set(targets)
+        queue = deque(targets)
+        slack = -1
+        while queue and slack < 0:
+            for e in inc[queue.popleft()]:
+                tl = d.tail(e)
+                if tl not in seen:
+                    seen.add(tl)
+                    parent[tl] = e
+                    if indeg[tl] < k:
+                        slack = tl
+                        break
+                    queue.append(tl)
+        if slack < 0:
+            return seen
+        indeg[slack] += 1
+        while slack in parent:
+            e = parent[slack]
+            head = d.head(e)
+            d.rev[e] = not d.rev[e]
+            old = inc[head]
+            old[old.index(e)] = old[-1]
+            old.pop()
+            inc[slack].append(e)
+            slack = head
+        indeg[slack] -= 1
+    return None
+
+
+def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
+    """``rooted.rooted_search`` with a fresh parent dict and deque per search."""
+    if eta == 0:
+        return set()
+    n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()
+    rooted: set[int] = set()
+    flow: set[int] = set()
+    out_flow: dict[int, list[int]] = {}
+    spent: dict[int, int] = {}
+    local = sinks is not None
+    for sink in sinks if local else range(n if eta > 1 else 0):
+        if k - indeg[sink] >= eta or sink in u0:
+            continue
+        flow.clear()
+        out_flow.clear()
+        spent.clear()
+        for path in range(1, eta + 1):
+            parent: dict[int, tuple[int, int]] = {sink: (-1, sink)}
+            queue = deque([sink])
+            start = sink if k - indeg[sink] > spent.get(sink, 0) else -1
+            while queue and start < 0:
+                w = queue.popleft()
+                for e in itertools.chain(inc[w], out_flow.get(w, ())):
+                    a, b = edges[e]
+                    if e in flow and (a if rev[e] else b) == w:
+                        continue
+                    v = a + b - w
+                    if v not in parent and v not in u0:
+                        parent[v] = (e, w)
+                        if v in rooted or k - indeg[v] > spent.get(v, 0):
+                            start = v
+                            break
+                        queue.append(v)
+            if start < 0 or path == eta:
+                break
+            if start not in rooted:
+                spent[start] = spent.get(start, 0) + 1
+            node = start
+            while node != sink:
+                e, nxt = parent[node]
+                if e in flow:
+                    flow.remove(e)
+                    out_flow[nxt].remove(e)
+                else:
+                    flow.add(e)
+                    out_flow.setdefault(node, []).append(e)
+                node = nxt
+        if start < 0:
+            break
+        rooted.add(sink)
+    else:
+        if local or eta > 1:
+            return set()
+    if local:
+        return {sink}
+    seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
+    return unreached(d, seen, u0, flow)
+
+
+def _random_directed_multigraph(rng: random.Random) -> tuple[Graph, list[bool]]:
+    """Up to 30 vertices with loops and parallel edges, each edge directed at random."""
+    n = rng.randint(1, 30)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    edges += rng.choices(edges, k=rng.randint(0, len(edges) // 3))  # parallel copies
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges)), [rng.random() < 0.5 for _ in edges]
+
+
+def _random_step(rng: random.Random, d: Orientation) -> tuple[str, tuple]:
+    """A random call on d as (kind, arguments after the engine).
+
+    Gathers and rooted queries take k at least the largest indegree, so
+    their preconditions hold; a delete takes a live edge.
+    """
+    n = d.n
+    k = max(d.max_indegree(), 1) + (rng.random() < 0.2)
+    kind = rng.choice(("gather", "gather", "query", "query", "delete", "add_edge"))
+    if kind == "gather":
+        targets = rng.sample(range(n), rng.randint(0, min(2, n)))
+        return kind, (targets, k, rng.randint(0, len(targets)))
+    if kind == "query":
+        u0 = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
+        sinks = rng.sample(range(n), rng.randint(0, n)) if rng.random() < 0.5 else None
+        return kind, (u0, k, rng.randint(1, 3), sinks)
+    live = [e for e, ends in enumerate(d.edges) if ends is not None]
+    if kind == "delete" and live:
+        return kind, (rng.choice(live),)
+    return "add_edge", (rng.randrange(n), rng.randrange(n))
+
+
+def _run(d: Orientation, kind: str, args: tuple, reference: bool = False):
+    if kind == "gather":
+        return _reference_gather(d, *args) if reference else d.gather(*args)
+    if kind == "query":
+        return (_reference_rooted_search if reference else rooted_search)(d, *args)
+    return getattr(d, kind)(*args)
+
+
+def test_stamped_searches_match_the_dict_searches():
+    # Same visit order, so the same flips, in-list order and answers.
+    rng = random.Random(14)
+    stalls = failures = 0
+    for _ in range(250):
+        g, rev = _random_directed_multigraph(rng)
+        d, ref = Orientation(g, rev), Orientation(g, rev)
+        for _ in range(12):
+            kind, args = _random_step(rng, d)
+            got = _run(d, kind, args)
+            assert got == _run(ref, kind, args, reference=True)
+            stalls += kind == "gather" and got is not None
+            failures += kind == "query" and bool(got)
+            assert d.edges == ref.edges and d.rev == ref.rev and d.indeg == ref.indeg
+            assert d.in_adjacency() == ref.in_adjacency()
+    assert stalls > 40 and failures > 150
+
+
+def _fresh(d: Orientation) -> Orientation:
+    """A never-searched engine holding d's live edges with their directions."""
+    live = [e for e, ends in enumerate(d.edges) if ends is not None]
+    return Orientation(Graph(d.n, tuple(d.edges[e] for e in live)), [d.rev[e] for e in live])
+
+
+def test_scratch_arrays_are_per_engine():
+    # Gathers and queries interleaved on one engine, on a copy taken midway
+    # and after deletes and additions answer as a fresh engine does: the
+    # stall set, the failing sink and the full query's set depend on the
+    # directed graph alone, not on what earlier searches left in the arrays.
+    rng = random.Random(15)
+    for _ in range(120):
+        g, rev = _random_directed_multigraph(rng)
+        engines = [Orientation(g, rev)]
+        for step in range(16):
+            if step == 8:
+                engines.append(engines[0].copy())
+                assert engines[1].mark is None
+            for d in engines:
+                kind, args = _random_step(rng, d)
+                if kind in ("gather", "query"):
+                    fresh = _fresh(d)  # its edge ids differ, but these calls name vertices only
+                    assert _run(d, kind, args) == _run(fresh, kind, args)
+                else:
+                    _run(d, kind, args)
+        d, c = engines
+        for x in engines:
+            _run(x, "query", (frozenset(), max(x.max_indegree(), 1), 2, None))
+        assert c.mark is not d.mark and c.via is not d.via
