@@ -1,8 +1,10 @@
 """Partition a graph's edges into kappa forests, or certify impossibility.
 
 Edges are inserted one at a time in input order into kappa classes, each
-kept as rooted trees.  An edge first tries each class directly, linking
-two trees by re-hanging the smaller one; failing that, a breadth-first
+kept as rooted trees.  An edge first tries each class directly, in order
+and inline: the first class whose trees differ at its endpoints takes it,
+re-hanging the smaller tree below the other, and a lone vertex is hung by
+setting its own entries, walking nothing.  Failing that, a breadth-first
 exchange search looks for an augmenting sequence "edge x enters class i by
 displacing an edge on the tree path between x's endpoints", a path found
 by climbing from both endpoints to their common ancestor.  A genuinely
@@ -22,7 +24,8 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Certificate, Graph, InputError, ParameterError, SparsityParams, make_certificate
+from .graph import (Certificate, Graph, InputError, ParameterError, SparsityParams, integer,
+                    make_certificate)
 from .orient import Orientation
 
 logger = logging.getLogger(__name__)
@@ -103,6 +106,9 @@ class _Builder:
     (-1 at a root), ``depth[i][v]`` levels below the root of the tree whose
     id is ``comp[i][v]``; ``size[i][c]`` counts the vertices of tree c, and
     ``adj[i][v]`` lists the class's edge ids at v for the re-hang walks.
+    A direct link is tested and made inside ``try_insert``, and linking a
+    lone vertex walks nothing; ``_apply_exchange`` runs only at the end of
+    an exchange chain.
     """
 
     def __init__(self, g: Graph, kappa: int):
@@ -185,40 +191,52 @@ class _Builder:
         self.walked += len(from_a)
         return from_a
 
-    def _free_class(self, x: int) -> int | None:
-        """First class but x's own whose trees do not already join x's endpoints."""
-        u, v = self.g.edges[x]
-        for i in range(self.kappa):
-            if i != self.assignment[x] and self.comp[i][u] != self.comp[i][v]:
-                return i
-        return None
-
     def try_insert(self, e0: int) -> bool:
-        i = self._free_class(e0)
-        if i is not None:
-            self._apply_exchange(e0, i, {})
-            return True
+        # Link directly into the first class whose trees differ at the ends,
+        # hanging a, the end in the tree that is not larger, below b; a lone
+        # vertex a needs no walk.
+        a, b = self.g.edges[e0]
+        for i, comp in enumerate(self.comp):
+            ca, cb = comp[a], comp[b]
+            if ca != cb:
+                size = self.size[i]
+                if size[ca] > size[cb]:
+                    a, b, ca, cb = b, a, cb, ca
+                if size[ca] == 1:
+                    depth, adj = self.depth[i], self.adj[i]
+                    self.parent[i][a], depth[a], comp[a] = e0, depth[b] + 1, cb
+                    adj[a].append(e0)
+                    adj[b].append(e0)
+                else:
+                    self._hang(i, e0, a, b)
+                size[cb] += size[ca]
+                self.assignment[e0] = i
+                return True
         # Augmenting exchange search over displaced edges, breadth-first so
         # the chain of exchanges is shortest (which keeps it valid).  Edges
         # leave the queue in the order they are found, so testing each one
         # as it is found picks the edge a test on leaving would pick, without
         # expanding the edges queued before it.
         self.searches += 1
+        edges, assignment, comps = self.g.edges, self.assignment, self.comp
         pred: dict[int, int] = {}
         jumps: list[dict[int, int]] = [{} for _ in range(self.kappa)]
         queue = deque([e0])
         while queue:
             x = queue.popleft()
-            xu, xv = self.g.edges[x]
+            xu, xv = edges[x]
             for i in range(self.kappa):
-                if i == self.assignment[x]:
+                if i == assignment[x]:
                     continue
                 for y in self._new_path_edges(i, xu, xv, jumps[i]):
                     pred[y] = x
-                    j = self._free_class(y)
-                    if j is not None:
-                        self._apply_exchange(y, j, pred)
-                        return True
+                    yu, yv = edges[y]
+                    own = assignment[y]
+                    # y's free class: the first but its own whose trees differ at its ends.
+                    for j, comp in enumerate(comps):
+                        if j != own and comp[yu] != comp[yv]:
+                            self._apply_exchange(y, j, pred)
+                            return True
                     queue.append(y)
         self.labelled = [e0, *pred]
         return False
@@ -247,6 +265,7 @@ class _Builder:
 
 def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, ForestDecomposition | None]:
     """Partition all edges into kappa forests, or return a (kappa,kappa) violation."""
+    kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
     builder = _Builder(g, kappa)

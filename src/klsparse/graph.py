@@ -61,6 +61,15 @@ class Graph:
             seen.add(key)
         return False
 
+
+def integer(value, name: str, error: type[ValueError] = ParameterError) -> int:
+    """``value`` as an int, else ``error``: as in Graph, 1.5 and "2" are refused, bool passes."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SparsityParams:
     """Parameter pair (k, l) with 0 <= l < 3k, plus the derived range index t.
@@ -75,11 +84,8 @@ class SparsityParams:
     l: int
 
     def __post_init__(self):
-        try:  # as in Graph: 1.5 and "2" are refused, bool passes
-            object.__setattr__(self, "k", index(self.k))
-            object.__setattr__(self, "l", index(self.l))
-        except TypeError as exc:
-            raise ParameterError(f"k and l must be integers: {exc}") from None
+        object.__setattr__(self, "k", integer(self.k, "k"))
+        object.__setattr__(self, "l", integer(self.l, "l"))
         if self.k < 1:
             raise ParameterError(f"k must be positive, got {self.k}")
         if not 0 <= self.l < 3 * self.k:

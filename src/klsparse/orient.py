@@ -25,7 +25,7 @@ import logging
 from collections import deque
 from typing import Container, Iterable
 
-from .graph import (Certificate, ContractError, Graph, ParameterError, SparsityParams,
+from .graph import (Certificate, ContractError, Graph, ParameterError, SparsityParams, integer,
                     make_certificate)
 
 logger = logging.getLogger(__name__)
@@ -193,6 +193,7 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     set can have, and every set with that excess lies inside X.  Isolated
     vertices are spare, so they never enter it.
     """
+    kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
     d = Orientation(g)

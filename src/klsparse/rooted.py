@@ -44,7 +44,7 @@ of eta paths without the O(n + m) forward reach.
 """
 from __future__ import annotations
 
-from .graph import InputError
+from .graph import InputError, integer
 from .orient import Orientation, unreached
 
 
@@ -56,6 +56,7 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
     no part.  Every indegree must be at most k.  Deterministic: the
     lowest-id failing sink wins.
     """
+    k, eta = integer(k, "k", InputError), integer(eta, "eta", InputError)
     if eta < 0:
         raise InputError("eta must be nonnegative")
     if d.max_indegree() > k:

@@ -1,7 +1,7 @@
 import itertools
 import logging
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -10,6 +10,7 @@ from klsparse import (
     Graph,
     InputError,
     Orientation,
+    ParameterError,
     check_sparsity,
     format_edge_list,
     forest_decomposition,
@@ -77,6 +78,14 @@ def test_k4_two_spanning_trees():
 def test_loops_rejected():
     with pytest.raises(InputError):
         forest_decomposition(Graph(2, ((0, 0), (0, 1))), 1)
+
+
+def test_non_integer_kappa_is_a_parameter_error():
+    for kappa in (1.5, "2"):
+        with pytest.raises(ParameterError, match="kappa must be an integer"):
+            forest_decomposition(K4, kappa)
+    cert, fd = forest_decomposition(TRIANGLE, True)  # bool is an int
+    assert fd is None and cert.vertices == frozenset({0, 1, 2})
 
 
 def test_components_listing():
@@ -296,3 +305,129 @@ def test_rejection_builds_no_orientation(monkeypatch):
     assert not result.sparse
     assert result.certificate.vertices == frozenset(range(4))
     assert result.certificate.induced_edges == 7 > 5 == result.certificate.bound
+
+
+class _ReferenceBuilder(_Builder):
+    """The insertion path before direct links were made inline: a call chain per edge."""
+
+    def _hang(self, i, x, a, b):
+        parent, depth, comp, adj, across = (
+            self.parent[i], self.depth[i], self.comp[i], self.adj[i], self.across)
+        parent[a], depth[a], comp[a] = x, depth[b] + 1, comp[b]
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for e in adj[u]:
+                if e != parent[u]:
+                    w = u ^ across[e]
+                    parent[w], depth[w], comp[w] = e, depth[u] + 1, comp[u]
+                    stack.append(w)
+        adj[a].append(x)
+        adj[b].append(x)
+
+    def _free_class(self, x):
+        u, v = self.g.edges[x]
+        for i in range(self.kappa):
+            if i != self.assignment[x] and self.comp[i][u] != self.comp[i][v]:
+                return i
+        return None
+
+    def try_insert(self, e0):
+        i = self._free_class(e0)
+        if i is not None:
+            self._apply_exchange(e0, i, {})
+            return True
+        self.searches += 1
+        pred = {}
+        jumps = [{} for _ in range(self.kappa)]
+        queue = deque([e0])
+        while queue:
+            x = queue.popleft()
+            xu, xv = self.g.edges[x]
+            for i in range(self.kappa):
+                if i == self.assignment[x]:
+                    continue
+                for y in self._new_path_edges(i, xu, xv, jumps[i]):
+                    pred[y] = x
+                    j = self._free_class(y)
+                    if j is not None:
+                        self._apply_exchange(y, j, pred)
+                        return True
+                    queue.append(y)
+        self.labelled = [e0, *pred]
+        return False
+
+    def _apply_exchange(self, x, target, pred):
+        a, b = self.g.edges[x]
+        comp, size = self.comp[target], self.size[target]
+        if size[comp[a]] > size[comp[b]]:
+            a, b = b, a
+        size[comp[b]] += size[comp[a]]
+        self._hang(target, x, a, b)
+        moves = [(x, target)]
+        while (old := self.assignment[x]) is not None:
+            y, x = x, pred[x]
+            self._swap(old, y, x)
+            moves.append((x, old))
+        for e, i in moves:
+            self.assignment[e] = i
+
+
+def _differential_instances():
+    """Seeded loop-free multigraphs with parallel edges, and planted violations."""
+    rng = random.Random(808)
+    for _ in range(300):
+        n, kappa = rng.randint(2, 12), rng.randint(1, 4)
+        edges = []
+        for _ in range(rng.randint(0, kappa * n + 2)):
+            edges.append(tuple(rng.sample(range(n), 2)))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        yield Graph(n, tuple(edges)), kappa
+    for k, l in ((2, 3), (3, 4), (3, 5)):
+        for n in (60, 150):
+            for seed in range(3):
+                yield generate(GenSpec("planted-violation", n, k, l, seed)), k
+
+
+def test_inline_links_match_the_reference_builder_after_every_insert():
+    fields = ("parent", "depth", "comp", "size", "adj", "assignment",
+              "searches", "walked", "labelled")
+    searched = rejected = 0
+    for g, kappa in _differential_instances():
+        b, ref = _Builder(g, kappa), _ReferenceBuilder(g, kappa)
+        for e in range(g.m):
+            inserted = b.try_insert(e)
+            assert inserted == ref.try_insert(e)
+            for name in fields:
+                assert getattr(b, name) == getattr(ref, name), (g, kappa, e, name)
+            if not inserted:
+                rejected += 1
+                break
+        searched += b.searches > 0
+    assert searched > 100 and rejected > 50
+
+
+def test_linking_a_lone_vertex_walks_nothing(monkeypatch):
+    calls = []
+    hang = _Builder._hang
+
+    def counted(self, *args):
+        calls.append(args)
+        hang(self, *args)
+
+    monkeypatch.setattr(_Builder, "_hang", counted)
+
+    def insert_all(g, kappa=1):
+        calls.clear()
+        b = _Builder(g, kappa)
+        assert all(b.try_insert(e) for e in range(g.m))
+        _check_builder(b)
+        return len(calls)
+
+    assert insert_all(Graph(6, tuple((v, v + 1) for v in range(5)))) == 0  # a path
+    assert insert_all(Graph(6, tuple((v + 1, v) for v in range(5)))) == 0  # the same, reversed
+    assert insert_all(Graph(6, tuple((0, v) for v in range(1, 6)))) == 0  # a star
+    assert insert_all(Graph(6, tuple((v, 0) for v in range(1, 6))), 2) == 0
+    # Two 2-vertex trees joined: the one re-hang walks a tree of two vertices.
+    assert insert_all(Graph(4, ((0, 1), (2, 3), (1, 2)))) == 1

@@ -5,9 +5,12 @@ import random
 import time
 from collections import deque
 
+import pytest
+
 from klsparse import (
     Graph,
     Orientation,
+    ParameterError,
     bounded_orientation,
     check_sparsity,
     check_superset_sparsity,
@@ -511,3 +514,12 @@ def test_scratch_arrays_are_per_engine():
         for x in engines:
             _run(x, "query", (frozenset(), max(x.max_indegree(), 1), 2, None))
         assert c.mark is not d.mark and c.via is not d.via
+
+
+def test_bounded_orientation_refuses_a_non_integer_kappa():
+    g = Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1)))
+    for kappa in (1.5, "2"):
+        with pytest.raises(ParameterError, match="kappa must be an integer"):
+            bounded_orientation(g, kappa)
+    cert, d = bounded_orientation(g, True)  # bool is an int
+    assert d is None and cert.vertices == frozenset({0, 1, 2})

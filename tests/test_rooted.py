@@ -221,6 +221,14 @@ def test_indegree_above_k_is_an_input_error():
     assert rooted_violation(d, {0}, 2, 1) == set()
 
 
+def test_non_integer_k_or_eta_is_an_input_error():
+    d = Orientation(Graph(3, ((0, 2), (1, 2))))
+    for k, eta in ((1.5, 1), ("2", 1), (2, 1.0), (2, "1")):
+        with pytest.raises(InputError, match="must be an integer"):
+            rooted_violation(d, set(), k, eta)
+    assert rooted_violation(d, {0}, 2, True) == set()  # bool is an int
+
+
 def test_given_sinks_decide_without_a_certificate():
     d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
     assert rooted_search(d, {0, 1}, 2, 1, [4, 3, 2]) == {3}  # 4 is spare, 3 fails
