@@ -8,16 +8,18 @@ one by Dinic-style phases of reversal paths on the orientation itself
 ``Orientation`` is the one mutable engine every range shares: edge
 endpoints, directions, indegrees, in-lists that are built on the first
 search and kept current after it, and scratch arrays, allocated by the
-first search and never copied, on which both path searches, ``gather`` and
-``rooted.rooted_search``, stamp their visits.  ``gather`` (the pebble-game
-gather of Gabow and Westermann, *Forests, frames, and games*) moves
-indegree off a target set by reversing backward paths to spare vertices;
-when it stalls, the vertices that still reach the targets certify the
-obstruction.  The extended-range driver gathers in place before each
-insertion, and the mid-range centroid search gathers in place on one
-engine per forest class and deletes edges as its trees split.  (A forest
-rejection needs no gather: its failed exchange search already holds the
-stall set, see ``forests``.)
+first search and never copied, on which its one path search, ``gather``,
+stamps its visits.  ``gather`` (the pebble-game gather of Gabow and
+Westermann, *Forests, frames, and games*) moves indegree off a target set
+by reversing backward paths to spare vertices; when it stalls, the
+vertices that still reach the targets certify the obstruction.  The
+extended-range driver gathers in place before each insertion, and the
+mid-range centroid search gathers in place on one engine per forest class
+and deletes edges as its trees split.  The rooted query
+(``rooted.rooted_search``) gathers each sink with u0 blocked and its root
+side as stops, logging the reversals, and ``_revert`` undoes them.  (A
+forest rejection needs no gather: its failed exchange search already holds
+the stall set, see ``forests``.)
 """
 from __future__ import annotations
 
@@ -37,10 +39,11 @@ class Orientation:
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
     no search reverses them.  Per-vertex in-lists are built on the first
-    call that needs them and then kept current by ``gather``, ``add_edge``,
-    ``delete`` and the phases of ``bounded_orientation``, so an orientation
-    that is never searched never pays for them.  A deleted edge keeps its
-    id, its slot in ``edges`` becomes None, and every search skips it.
+    call that needs them and then kept current by ``gather``, ``_revert``,
+    ``add_edge``, ``delete`` and the phases of ``bounded_orientation``, so
+    an orientation that is never searched never pays for them.  A deleted
+    edge keeps its id, its slot in ``edges`` becomes None, and every search
+    skips it.
 
     Each search takes a fresh stamp from ``scratch``, counts v as seen when
     ``mark[v]`` equals it and keeps in ``via[v]`` the edge it reached v by.
@@ -123,24 +126,35 @@ class Orientation:
     def max_indegree(self) -> int:
         return max(self.indeg, default=0)
 
-    def gather(self, targets, k: int, budget: int) -> set[int] | None:
+    def gather(self, targets, k: int, budget: int, *, blocked: Iterable[int] = (),
+               stops: Container[int] = (), undo: list | None = None) -> set[int] | None:
         """Reverse paths until the indegree sum on the distinct targets is at most budget.
 
         Assumes every indegree is at most k.  One step searches breadth-first
-        backward from the targets to the first vertex outside them with
-        indegree below k and reverses that path, which moves one unit of
+        backward from the targets, entering no vertex of ``blocked``, to the
+        first vertex outside them with indegree below k or in ``stops`` (which
+        may so go above k), and reverses that path, moving one unit of
         indegree off the targets.  Returns None on success.  When no such
         vertex reaches the targets, returns the vertices that do (targets
-        included): every one outside the targets has indegree k and no arc
-        enters the set, so it is the unique minimal X containing the targets
-        that maximizes i(X) - k|X - targets|, a set fixed by the graph alone.
+        included): without blocked or stops every one outside the targets has
+        indegree k and no arc enters the set, so it is the unique minimal X
+        containing the targets that maximizes i(X) - k|X - targets|, a set
+        fixed by the graph alone.  Given an ``undo`` list, each reversed edge
+        goes into it with its slot in its old head's in-list, for ``_revert``,
+        and the last path is found but not reversed.
         """
         edges, rev, indeg, inc = self.edges, self.rev, self.indeg, self.in_adjacency()
-        for _ in range(sum(indeg[v] for v in targets) - budget):
-            mark, via, stamp = self.scratch()
-            queue = list(targets)
-            for t in queue:
+        mark, via, stamp = self.scratch()
+        queue, excess = [], -budget
+        for t in targets:  # each distinct target once
+            if mark[t] != stamp:
                 mark[t], via[t] = stamp, -1
+                queue.append(t)
+                excess += indeg[t]
+        width = len(queue)  # the search appends after the targets
+        while excess > 0:
+            for b in blocked:
+                mark[b] = stamp
             slack = -1
             for w in queue:
                 for e in inc[w]:
@@ -148,14 +162,17 @@ class Orientation:
                     tl = b if rev[e] else a
                     if mark[tl] != stamp:
                         mark[tl], via[tl] = stamp, e
-                        if indeg[tl] < k:
+                        if indeg[tl] < k or tl in stops:
                             slack = tl
                             break
                         queue.append(tl)
                 if slack >= 0:
                     break
             else:
-                return set(queue)  # every marked vertex
+                return set(queue)  # every marked vertex but the blocked ones
+            excess -= 1
+            if not excess and undo is not None:
+                break
             # Flip the path; only its two ends change indegree.  An edge
             # leaves its old head's in-list by a swap with the last entry,
             # so a hub's list is never shifted.
@@ -164,12 +181,33 @@ class Orientation:
                 head = self.head(e)
                 rev[e] = not rev[e]
                 old = inc[head]
-                old[old.index(e)] = old[-1]
+                i = old.index(e)
+                old[i] = old[-1]
                 old.pop()
                 inc[slack].append(e)
+                if undo is not None:
+                    undo.append((e, i))
                 slack = head
             indeg[slack] -= 1
+            mark, via, stamp = self.scratch()
+            queue = queue[:width]
+            for t in queue:
+                mark[t], via[t] = stamp, -1
         return None
+
+    def _revert(self, undo: list) -> None:
+        """Undo the reversals ``gather`` logged, last first, restoring in-list order exactly."""
+        rev, indeg, inc = self.rev, self.indeg, self._inc
+        while undo:
+            e, i = undo.pop()
+            new, old = self.head(e), self.tail(e)
+            rev[e] = not rev[e]
+            indeg[new] -= 1
+            indeg[old] += 1
+            inc[new].pop()  # e, the last entry
+            lst = inc[old]
+            lst.append(e)  # back to slot i; its stand-in back to the end
+            lst[i], lst[-1] = lst[-1], lst[i]
 
 
 def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orientation | None]:
@@ -275,22 +313,17 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     return None, d
 
 
-def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = (),
-              flow: Container[int] = frozenset()) -> set[int]:
+def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> set[int]:
     """Vertices that no directed path from seen reaches without entering blocked.
 
-    The set seen is grown in place.  Edges in flow are followed head to
-    tail, the others tail to head.
+    The set seen is grown in place.
     """
     out: list[list[int]] = [[] for _ in range(d.n)]
-    for e, (ends, r) in enumerate(zip(d.edges, d.rev)):
+    for ends, r in zip(d.edges, d.rev):
         if ends is None:
             continue  # deleted
         a, b = ends
-        if (e in flow) == r:
-            out[a].append(b)
-        else:
-            out[b].append(a)
+        out[b if r else a].append(a if r else b)
     queue = deque(seen)
     seen.update(blocked)
     while queue:

@@ -13,12 +13,14 @@ For eta = 1 one forward search from the vertices with spare indegree is
 the whole query: O(n + m).  For eta >= 2 the search is local.  A root
 side, initially {s}, collects the sinks already shown to have eta
 arc-disjoint paths from s.  Each remaining sink, in increasing id order,
-asks for eta augmenting paths from the root side, each found by a
-breadth-first search backward from the sink over the residual network that
-stops at the first vertex with root capacity left or on the root side.  It
-stamps visits on the engine's scratch arrays, keeping in ``via[v]`` the edge
-of the step from v toward the sink.  The flow is kept only on the edges
-this sink's paths use.  A sink that gets eta paths joins the root side,
+asks for eta augmenting paths from the root side.  Pushing one unit of
+flow along a path is reversing that path on the engine, so the residual
+network is the orientation itself and no flow is kept: ``Orientation.gather``
+moves indegree off the sink, its spare indegree counted as root arcs, with
+u0 blocked and the root side as stops, where a path may end whatever the
+indegree.  The reversals are logged and reverted after each sink, so the
+engine comes back exactly, in-list order included; the last path is found
+but never reversed.  A sink that gets eta paths joins the root side,
 which is sound by Menger: no set with fewer than eta entering arcs can
 contain it.  So a sink with eta spare indegree settles without a search,
 and most searches stay near their sink.
@@ -27,10 +29,11 @@ The first sink short of eta paths is the lowest-id sink that the root
 cannot reach by eta arc-disjoint paths, since the root side holds only
 sinks no small cut separates from s.  For the same reason every minimum
 cut between s and that sink avoids the root side, so the returned set, the
-complement of the residual forward reach from the whole root side, is the
-maximal sink side of a minimum s-sink cut: a set fixed by the graph, since
-its cut value k|X| - i(X) - e(u0, X) does not depend on the orientation.
-No minimality of the returned set is guaranteed.
+complement of the forward reach on the reversed engine from the whole root
+side and the spare indegree left, is the maximal sink side of a minimum
+s-sink cut: a set fixed by the graph, since its cut value
+k|X| - i(X) - e(u0, X) does not depend on the orientation.  No minimality
+of the returned set is guaranteed.
 
 ``rooted_violation`` is the checked query.  The drivers call
 ``rooted_search``, which skips the input checks: each keeps every
@@ -59,6 +62,9 @@ def rooted_violation(d: Orientation, u0, k: int, eta: int) -> set[int]:
     k, eta = integer(k, "k", InputError), integer(eta, "eta", InputError)
     if eta < 0:
         raise InputError("eta must be nonnegative")
+    for v in u0:
+        if not 0 <= integer(v, "a vertex of u0", InputError) < d.n:
+            raise InputError(f"u0 holds {v}, not a vertex id in 0..{d.n - 1}")
     if d.max_indegree() > k:
         raise InputError(f"an indegree exceeds k={k}")
     return rooted_search(d, u0, k, eta)
@@ -73,66 +79,25 @@ def rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
     """
     if eta == 0:
         return set()
-    n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()
+    n, indeg = d.n, d.indeg
     rooted: set[int] = set()  # sinks confirmed by eta paths (spare ones need not be)
-    flow: set[int] = set()  # edges carrying the current sink's flow
-    out_flow: dict[int, list[int]] = {}  # tail -> its edges in flow
-    spent: dict[int, int] = {}  # root flow into each vertex
+    flips: list[tuple[int, int]] = []
     local = sinks is not None
     # For eta = 1 the forward reach below, from the spare vertices alone, is
     # the whole answer; a search per sink could walk O(n + m) for each one.
     for sink in sinks if local else range(n if eta > 1 else 0):
         if k - indeg[sink] >= eta or sink in u0:
             continue  # eta root arcs, or deleted
-        if spent or out_flow:  # an earlier sink pushed a path
-            flow.clear()
-            out_flow.clear()
-            spent.clear()
-        for path in range(1, eta + 1):
-            mark, via, stamp = d.scratch()
-            mark[sink] = stamp
-            start = sink if k - indeg[sink] > spent.get(sink, 0) else -1
-            queue = [sink] if start < 0 else []
-            for w in queue:
-                # Edges in flow out of w lead forward; a saturated edge into w does not lead back.
-                for e in inc[w] + out_flow[w] if flow and w in out_flow else inc[w]:
-                    a, b = edges[e]
-                    if flow and e in flow and (a if rev[e] else b) == w:
-                        continue
-                    v = a + b - w
-                    if mark[v] != stamp and v not in u0:
-                        mark[v], via[v] = stamp, e
-                        if v in rooted or (indeg[v] < k and k - indeg[v] > spent.get(v, 0)):
-                            start = v
-                            break
-                        queue.append(v)
-                if start >= 0:
-                    break
-            if start < 0 or path == eta:
-                break  # short of eta paths, or settled: the last path is never pushed
-            if start not in rooted:
-                spent[start] = spent.get(start, 0) + 1
-            node = start
-            while node != sink:
-                e = via[node]
-                a, b = edges[e]
-                nxt = a + b - node
-                if e in flow:
-                    flow.remove(e)
-                    out_flow[nxt].remove(e)
-                else:
-                    flow.add(e)
-                    out_flow.setdefault(node, []).append(e)
-                node = nxt
-        if start < 0:
-            break
+        found = d.gather((sink,), k, k - eta, blocked=u0, stops=rooted, undo=flips)
+        if found is not None and not local:
+            # The forward reach from the root side and the spare indegree
+            # left, with this sink's paths reversed and its own spare spent.
+            found = unreached(d, rooted | {v for v in range(n) if indeg[v] < k and v != sink
+                                           and v not in u0}, u0)
+        d._revert(flips)
+        if found is not None:
+            return {sink} if local else found
         rooted.add(sink)
-    else:
-        if local or eta > 1:
-            return set()  # every sink has eta paths
-    if local:
-        return {sink}
-    # The forward reach in the residual network from the root side and the
-    # capacity left; u0 is blocked, so its edges are never followed.
-    seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
-    return unreached(d, seen, u0, flow)
+    if local or eta > 1:
+        return set()  # every sink has eta paths
+    return unreached(d, {v for v in range(n) if indeg[v] < k and v not in u0}, u0)

@@ -17,7 +17,6 @@ from klsparse import (
     forest_decomposition,
     induced_edge_count,
 )
-from klsparse.orient import unreached
 from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -96,6 +95,28 @@ def test_loop_reversal_is_noop_and_counts_once():
     assert d.gather((0,), 1, 0) == {0}  # a loop is never on a gather path
     assert d.indeg == [1]
     assert d.head(0) == d.tail(0) == 0
+
+
+def test_gather_counts_a_repeated_target_once():
+    # The excess is taken over the distinct targets: naming 0 twice asks
+    # for no more than naming it once.
+    d = Orientation(Graph(3, ((1, 0),)))
+    assert d.gather((0, 0), 2, 0) is None
+    assert d.indeg == [0, 1, 0]
+
+
+def test_gather_stops_and_blocked_vertices():
+    # On the path 2 -> 1 -> 0 with k = 1, a search from 0 passes 1, which
+    # has no spare indegree, and ends at 2.  With 1 as a stop it ends at 1,
+    # which goes above k; with 1 blocked it cannot get past 0.
+    path = Graph(3, ((2, 1), (1, 0)))
+    d = Orientation(path)
+    assert d.gather((0,), 1, 0) is None and d.indeg == [0, 1, 1]
+    d = Orientation(path)
+    assert d.gather((0,), 1, 0, stops={1}) is None and d.indeg == [0, 2, 0]
+    assert d.rev == [False, True]
+    d = Orientation(path)
+    assert d.gather((0,), 1, 0, blocked={1}) == {0} and d.indeg == [1, 1, 0]
 
 
 def test_bounded_orientation_triangle():
@@ -424,7 +445,28 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
     if local:
         return {sink}
     seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
-    return unreached(d, seen, u0, flow)
+    return _reference_unreached(d, seen, u0, flow)
+
+
+def _reference_unreached(d: Orientation, seen: set[int], blocked, flow) -> set[int]:
+    """The forward reach of ``_reference_rooted_search``: edges in flow are followed head to tail."""
+    out: list[list[int]] = [[] for _ in range(d.n)]
+    for e, (ends, r) in enumerate(zip(d.edges, d.rev)):
+        if ends is None:
+            continue  # deleted
+        a, b = ends
+        if (e in flow) == r:
+            out[a].append(b)
+        else:
+            out[b].append(a)
+    queue = deque(seen)
+    seen.update(blocked)
+    while queue:
+        for v in out[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return set(range(d.n)) - seen
 
 
 def _random_directed_multigraph(rng: random.Random) -> tuple[Graph, list[bool]]:
@@ -514,6 +556,41 @@ def test_scratch_arrays_are_per_engine():
         for x in engines:
             _run(x, "query", (frozenset(), max(x.max_indegree(), 1), 2, None))
         assert c.mark is not d.mark and c.via is not d.via
+
+
+def test_gather_undo_log_reverts_exactly():
+    # Random engines with loops, parallel edges and deletes.  A logged
+    # gather answers as an unlogged one on a copy, never enters a blocked
+    # vertex and lifts only a stop above k; reverting the log restores the
+    # engine, in-list order included.
+    rng = random.Random(16)
+    flipped = stalls = over = 0
+    for _ in range(600):
+        g, rev = _random_directed_multigraph(rng)
+        d = Orientation(g, rev)
+        for e in rng.sample(range(g.m), rng.randint(0, g.m // 4)):
+            d.delete(e)
+        n, k = d.n, max(d.max_indegree(), 1) + (rng.random() < 0.2)
+        blocked = set(rng.sample(range(n), rng.randint(0, min(2, n - 1))))
+        free = [v for v in range(n) if v not in blocked]
+        targets = rng.choices(free, k=rng.randint(1, 3))  # repeats too
+        full = [v for v in free if d.indeg[v] == k]  # stops that matter
+        stops = set(rng.sample(full, rng.randint(0, len(full)))) - set(targets)
+        budget = rng.randint(0, sum(d.indeg[t] for t in set(targets))) // 2
+        before, plain, log = d.copy(), d.copy(), []
+        got = d.gather(targets, k, budget, blocked=blocked, stops=stops, undo=log)
+        assert got == plain.gather(targets, k, budget, blocked=blocked, stops=stops)
+        assert not (got or set()) & blocked
+        assert not any(blocked & set(d.edges[e]) for e, _ in log)
+        assert all(i <= k for v, i in enumerate(d.indeg) if v not in stops)
+        flipped += bool(log)
+        stalls += got is not None
+        over += any(d.indeg[v] > k for v in stops)
+        d._revert(log)
+        assert log == []
+        assert (d.edges, d.rev, d.indeg) == (before.edges, before.rev, before.indeg)
+        assert d.in_adjacency() == before.in_adjacency()
+    assert flipped > 100 and stalls > 100 and over > 15
 
 
 def test_bounded_orientation_refuses_a_non_integer_kappa():

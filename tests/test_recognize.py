@@ -210,6 +210,28 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _scratch_callers(node: ast.AST, name: str):
+    """Qualified names of the functions under node that call ``scratch()``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scratch_callers(child, f"{name}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "scratch":
+            yield name
+        yield from _scratch_callers(child, name)
+
+
+def test_gather_is_the_only_path_search():
+    # One path-search primitive: only Orientation.gather takes a search stamp.
+    package = os.path.dirname(klsparse.__file__)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                found.update(_scratch_callers(ast.parse(f.read()), name[:-3]))
+    assert found == {"orient.Orientation.gather"}
+
+
 def test_public_surface_is_pinned():
     # Adding or removing a public name is an edit to this list.
     assert sorted(klsparse.__all__) == [

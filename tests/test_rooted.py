@@ -221,6 +221,18 @@ def test_indegree_above_k_is_an_input_error():
     assert rooted_violation(d, {0}, 2, 1) == set()
 
 
+def test_u0_outside_the_vertex_ids_is_an_input_error():
+    # The query stamps u0 onto per-vertex arrays: -1 would block vertex
+    # n - 1 and 7 would index past the end, so the checked door refuses both.
+    d = Orientation(Graph(3, ((0, 1), (1, 2))))
+    for u0 in ({7}, {-1}, {3}, {0, 3}):
+        with pytest.raises(InputError, match="u0"):
+            rooted_violation(d, u0, 1, 1)
+    with pytest.raises(InputError, match="u0"):
+        rooted_violation(d, {1.0}, 1, 1)
+    assert rooted_violation(d, {2}, 1, 1) == set()
+
+
 def test_non_integer_k_or_eta_is_an_input_error():
     d = Orientation(Graph(3, ((0, 2), (1, 2))))
     for k, eta in ((1.5, 1), ("2", 1), (2, 1.0), (2, "1")):
