@@ -2,8 +2,9 @@
 
 An orientation with all indegrees at most kappa exists iff no vertex set X
 induces more than kappa*|X| edges (Hakimi).  ``bounded_orientation`` finds
-one by Dinic-style phases of reversal paths on the orientation itself
-(Even and Tarjan 1975; Frank and Gyarfas 1976), or returns such an X.
+one, or such an X, by gathering each vertex above kappa in a least-loaded
+start down to kappa along reversal paths on the orientation itself (Frank
+and Gyarfas 1976).
 
 ``Orientation`` is the one mutable engine every range shares: edge
 endpoints, directions, indegrees, in-lists that are built on the first
@@ -40,10 +41,9 @@ class Orientation:
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
     no search reverses them.  Per-vertex in-lists are built on the first
     call that needs them and then kept current by ``gather``, ``_revert``,
-    ``add_edge``, ``delete`` and the phases of ``bounded_orientation``, so
-    an orientation that is never searched never pays for them.  A deleted
-    edge keeps its id, its slot in ``edges`` becomes None, and every search
-    skips it.
+    ``add_edge`` and ``delete``, so an orientation that is never searched
+    never pays for them.  A deleted edge keeps its id, its slot in
+    ``edges`` becomes None, and every search skips it.
 
     Each search takes a fresh stamp from ``scratch``, counts v as seen when
     ``mark[v]`` equals it and keeps in ``via[v]`` the edge it reached v by.
@@ -65,12 +65,15 @@ class Orientation:
         d._set(n, arcs, [False] * len(arcs))
         return d
 
-    def _set(self, n: int, edges: list[tuple[int, int]], rev: list[bool]) -> None:
-        self.n, self.edges, self.rev, self._inc, self.mark = n, edges, rev, None, None
-        indeg = [0] * n
-        for (u, v), r in zip(edges, rev):
-            indeg[u if r else v] += 1
-        self.indeg = indeg
+    def _set(self, n: int, edges: list[tuple[int, int]], rev: list[bool],
+             indeg: list[int] | None = None) -> None:
+        """Take the lists as they are; indeg, unless given, is counted from them."""
+        if indeg is None:
+            indeg = [0] * n
+            for (u, v), r in zip(edges, rev):
+                indeg[u if r else v] += 1
+        self.n, self.edges, self.rev, self.indeg = n, edges, rev, indeg
+        self._inc, self.mark = None, None
 
     def head(self, e: int) -> int:
         u, v = self.edges[e]
@@ -130,18 +133,20 @@ class Orientation:
                stops: Container[int] = (), undo: list | None = None) -> set[int] | None:
         """Reverse paths until the indegree sum on the distinct targets is at most budget.
 
-        Assumes every indegree is at most k.  One step searches breadth-first
+        The targets may start above k, and any other vertex above k is
+        passed through like one at k.  One step searches breadth-first
         backward from the targets, entering no vertex of ``blocked``, to the
-        first vertex outside them with indegree below k or in ``stops`` (which
-        may so go above k), and reverses that path, moving one unit of
-        indegree off the targets.  Returns None on success.  When no such
+        first vertex outside them with indegree below k or in ``stops``
+        (which may so go above k), and reverses that path, moving one unit
+        of indegree off the targets.  Returns None on success.  When no such
         vertex reaches the targets, returns the vertices that do (targets
-        included): without blocked or stops every one outside the targets has
-        indegree k and no arc enters the set, so it is the unique minimal X
-        containing the targets that maximizes i(X) - k|X - targets|, a set
-        fixed by the graph alone.  Given an ``undo`` list, each reversed edge
-        goes into it with its slot in its old head's in-list, for ``_revert``,
-        and the last path is found but not reversed.
+        included).  Without blocked, stops or other vertices above k, every
+        one outside the targets has indegree k and no arc enters the set,
+        so it is the unique minimal X containing the targets that maximizes
+        i(X) - k|X - targets|, a set fixed by the graph alone; with other
+        vertices above k it need not be.  Given an ``undo`` list, each
+        reversed edge goes into it with its slot in its old head's in-list,
+        for ``_revert``, and the last path is found but not reversed.
         """
         edges, rev, indeg, inc = self.edges, self.rev, self.indeg, self.in_adjacency()
         mark, via, stamp = self.scratch()
@@ -216,100 +221,58 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     Returns ``(None, orientation)`` on success, else ``(certificate, None)``
     where the certificate set X satisfies i_G(X) > kappa*|X|.
 
-    The input directions are repaired in place.  Each phase layers the
-    graph breadth-first backward over the in-lists, from every vertex with
-    indegree above kappa to the first layer holding a spare vertex (indegree
-    below kappa), then reverses a blocking set of edge-disjoint shortest
-    paths found with a per-vertex pointer into the in-lists; each path moves
-    one unit of indegree from its overloaded end to its spare end.  The
-    in-lists are patched once per phase, as no edge is reversed twice in
-    one.  Unit capacities give O(sqrt(m)) phases of O(n + m) work.
+    Each edge, in input order, first goes into whichever end has the lower
+    indegree so far, v on a tie.  Then each vertex still above kappa, in id
+    order, is gathered down to kappa: one unit at a time, along a backward
+    path to the nearest spare vertex (indegree below kappa), as the pebble
+    game does.  A vertex in an earlier stall set is skipped, as it would
+    stall too.  The work is O(excess * (n + m)), the pebble game's order,
+    excess being what the start leaves above kappa; blocking sets of
+    shortest paths (Even and Tarjan 1975) would take O(sqrt(m)) phases of
+    O(n + m).  Spare vertices are a few hops away on most graphs, but many
+    overloaded vertices that share one deep backward cone re-walk it for
+    every unit: on a wide, shallow layered graph this is several times
+    slower than such phases, though still faster than the pebble-game
+    oracle.
 
-    When no spare vertex reaches an overloaded one, the set X of vertices
-    that no spare vertex reaches has no entering arc, every overloaded
-    vertex and no spare one, so its excess i(X) - kappa*|X| is the most any
-    set can have, and every set with that excess lies inside X.  Isolated
+    A stall set has no spare vertex and no entering arc, so no later path,
+    which starts at a spare vertex, touches it, and a flip raises only its
+    spare end.  The end state is a maximum flow: the set X of vertices that
+    no spare vertex reaches has no entering arc, every overloaded vertex
+    and no spare one, so its excess i(X) - kappa*|X| is the most any set
+    can have, and every set with that excess lies inside X.  Isolated
     vertices are spare, so they never enter it.
     """
     kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
-    d = Orientation(g)
-    edges, rev, indeg = d.edges, d.rev, d.indeg
+    edges, rev, indeg = list(g.edges), [False] * g.m, [0] * g.n
+    for e, (u, v) in enumerate(edges):
+        if indeg[u] < indeg[v]:
+            rev[e] = True
+            indeg[u] += 1
+        else:
+            indeg[v] += 1
+    d = Orientation.__new__(Orientation)
+    d._set(g.n, edges, rev, indeg)
     over = [v for v, i in enumerate(indeg) if i > kappa]
-    phases = flipped = 0
-    while over:
-        inc = d.in_adjacency()
-        level = [-1] * g.n
-        for v in over:
-            level[v] = 0
-        layer, depth, found = over, 0, False
-        while layer and not found:
-            depth += 1
-            nxt = []
-            for w in layer:
-                for e in inc[w]:
-                    u, v = edges[e]
-                    t = u + v - w
-                    if level[t] < 0:
-                        level[t] = depth
-                        nxt.append(t)
-                        found = found or indeg[t] < kappa
-            layer = nxt
-        if not found:
-            break
-        phases += 1
-        # ptr[w] indexes the next edge of inc[w] to try.  Once an edge on a
-        # path is reversed the pointer moves past it, so an edge reversed in
-        # this phase is never read again before the in-lists are patched.
-        ptr = [0] * g.n
-        moved: list[int] = []
-        for x in over:
-            stack, path = [x], []  # path[i] leads from stack[i + 1] into stack[i]
-            while indeg[x] > kappa:
-                w = stack[-1]
-                lst, i, below = inc[w], ptr[w], level[w] + 1
-                while i < len(lst):
-                    u, v = edges[lst[i]]
-                    t = u + v - w
-                    if level[t] == below and (below < depth or indeg[t] < kappa):
-                        break
-                    i += 1
-                ptr[w] = i
-                if i == len(lst):
-                    level[w] = -1  # dead end for the rest of the phase
-                    if w == x:
-                        break
-                    stack.pop()
-                    path.pop()
-                elif below < depth:
-                    stack.append(t)
-                    path.append(lst[i])
-                else:  # t is spare: reverse the path from it to x
-                    path.append(lst[i])
-                    for h, e in zip(stack, path):
-                        rev[e] = not rev[e]
-                        ptr[h] += 1
-                    moved += path
-                    indeg[x] -= 1
-                    indeg[t] += 1
-                    del stack[1:], path[:]
-        gone = set(moved)
-        for h in {d.tail(e) for e in gone}:  # the old heads
-            inc[h] = [e for e in inc[h] if e not in gone]
-        for e in moved:
-            inc[d.head(e)].append(e)
-        flipped += len(moved)
-        over = [v for v in over if indeg[v] > kappa]
-    if over:
+    excess = sum(indeg[v] - kappa for v in over)
+    stalled: set[int] = set()  # the vertices above kappa in a stall set
+    for v in over:
+        if v not in stalled and (stall := d.gather((v,), kappa, kappa)) is not None:
+            stalled.update(w for w in stall if indeg[w] > kappa)
+    left = [v for v in over if indeg[v] > kappa]
+    gathered = excess - sum(indeg[v] - kappa for v in left)
+    if left:
         hoffman = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
-        logger.debug("indegree bound %d fails after %d reversal phases, %d edges reversed: "
-                     "violating set of %d vertices", kappa, phases, flipped, len(hoffman))
+        logger.debug("indegree bound %d fails: %d vertices above it at the start, %d units "
+                     "gathered, %d left above it: violating set of %d vertices",
+                     kappa, len(over), gathered, len(left), len(hoffman))
         return make_certificate(g, SparsityParams(kappa, 0), hoffman), None
-    logger.debug("indegree bound %d met after %d reversal phases, %d edges reversed",
-                 kappa, phases, flipped)
+    logger.debug("indegree bound %d met: %d vertices above it at the start, %d units gathered",
+                 kappa, len(over), gathered)
     if d.max_indegree() > kappa:
-        raise ContractError("reversal phases left an indegree above kappa")
+        raise ContractError("gathers left an indegree above kappa")
     return None, d
 
 
@@ -331,4 +294,4 @@ def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> se
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    return set(range(d.n)) - seen
+    return {v for v in range(d.n) if v not in seen}

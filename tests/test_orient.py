@@ -17,6 +17,8 @@ from klsparse import (
     forest_decomposition,
     induced_edge_count,
 )
+from klsparse.graph import SparsityParams, make_certificate
+from klsparse.orient import unreached
 from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -183,7 +185,7 @@ def test_isolated_vertices_stay_out_of_the_certificate():
 
 def test_isolated_vertices_cost_little():
     # A million vertices and one edge: no vertex is overloaded, so no
-    # reversal phase runs, and the check should cost about as much as
+    # gather runs, and the check should cost about as much as
     # allocating the one in-list per vertex that the rooted query reads.
     # The circulation this replaced cost 2.6-3.0 times that, the phases
     # 1.4-2.0 times.  A ratio, because the machine's speed varies more
@@ -206,7 +208,7 @@ def test_isolated_vertices_cost_little():
 
 
 def test_certificate_is_the_union_of_all_maximizers():
-    # The stalled phases return the set no spare vertex reaches; it must be
+    # The stalled gathers return the set no spare vertex reaches; it must be
     # the maximal maximizer of i(X) - kappa|X|, a set fixed by the graph.
     rng = random.Random(77)
     certificates = 0
@@ -226,12 +228,147 @@ def test_certificate_is_the_union_of_all_maximizers():
 
 
 def test_phases_are_logged(caplog):
+    # The least-loaded start orients the triangle as a cycle.  On K4 it
+    # leaves vertices 2 and 3 above 1; 2 gathers its unit from 0, and 3 stalls.
     with caplog.at_level(logging.DEBUG, logger="klsparse"):
         bounded_orientation(TRIANGLE, 1)
         bounded_orientation(K4, 1)
-    assert "indegree bound 1 met after 1 reversal phases, 1 edges reversed" in caplog.text
-    assert ("indegree bound 1 fails after 1 reversal phases, 1 edges reversed: "
-            "violating set of 4 vertices") in caplog.text
+    assert "indegree bound 1 met: 0 vertices above it at the start, 0 units gathered" in caplog.text
+    assert ("indegree bound 1 fails: 2 vertices above it at the start, 1 units gathered, "
+            "1 left above it: violating set of 4 vertices") in caplog.text
+
+
+def _reference_bounded_orientation(g: Graph, kappa: int):
+    """``bounded_orientation`` by Dinic-style phases on the input directions.
+
+    Each phase layers the graph breadth-first backward over the in-lists,
+    from every vertex above kappa to the first layer holding a spare vertex,
+    then reverses a blocking set of edge-disjoint shortest paths (Even and
+    Tarjan 1975).  Its certificate, the set no spare vertex reaches, is the
+    maximal maximizer of i(X) - kappa|X| however the flow was found, so the
+    gathers must return the same one.
+    """
+    d = Orientation(g)
+    edges, rev, indeg = d.edges, d.rev, d.indeg
+    over = [v for v, i in enumerate(indeg) if i > kappa]
+    while over:
+        inc = d.in_adjacency()
+        level = [-1] * g.n
+        for v in over:
+            level[v] = 0
+        layer, depth, found = over, 0, False
+        while layer and not found:
+            depth += 1
+            nxt = []
+            for w in layer:
+                for e in inc[w]:
+                    u, v = edges[e]
+                    t = u + v - w
+                    if level[t] < 0:
+                        level[t] = depth
+                        nxt.append(t)
+                        found = found or indeg[t] < kappa
+            layer = nxt
+        if not found:
+            break
+        ptr = [0] * g.n  # the next edge of inc[w] to try
+        moved: list[int] = []
+        for x in over:
+            stack, path = [x], []  # path[i] leads from stack[i + 1] into stack[i]
+            while indeg[x] > kappa:
+                w = stack[-1]
+                lst, i, below = inc[w], ptr[w], level[w] + 1
+                while i < len(lst):
+                    u, v = edges[lst[i]]
+                    t = u + v - w
+                    if level[t] == below and (below < depth or indeg[t] < kappa):
+                        break
+                    i += 1
+                ptr[w] = i
+                if i == len(lst):
+                    level[w] = -1  # dead end for the rest of the phase
+                    if w == x:
+                        break
+                    stack.pop()
+                    path.pop()
+                elif below < depth:
+                    stack.append(t)
+                    path.append(lst[i])
+                else:  # t is spare: reverse the path from it to x
+                    path.append(lst[i])
+                    for h, e in zip(stack, path):
+                        rev[e] = not rev[e]
+                        ptr[h] += 1
+                    moved += path
+                    indeg[x] -= 1
+                    indeg[t] += 1
+                    del stack[1:], path[:]
+        gone = set(moved)
+        for h in {d.tail(e) for e in gone}:  # the old heads
+            inc[h] = [e for e in inc[h] if e not in gone]
+        for e in moved:
+            inc[d.head(e)].append(e)
+        over = [v for v in over if indeg[v] > kappa]
+    if over:
+        xs = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
+        return make_certificate(g, SparsityParams(kappa, 0), xs), None
+    return None, d
+
+
+def _loaded_multigraph(rng: random.Random, n: int, kappa: int, block: int) -> Graph:
+    """A near-tight multigraph with loops and parallel edges, shuffled.
+
+    Nearly every vertex takes kappa in-edges, so an orientation within
+    kappa exists.  A few are loops, and about one in ten comes from the
+    tail of the edge before, which makes parallel edges.  A block of that
+    many vertices then gets 1 to 3 more edges among its vertices than kappa
+    times its size allows.
+    """
+    edges, u = [], 0
+    for v in range(n):
+        for _ in range(kappa if rng.random() < 0.95 else rng.randrange(kappa)):
+            if rng.random() < 0.9:  # else the tail of the edge before again
+                u = rng.randrange(n) if rng.random() < 0.97 else v
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    if block:
+        inside = rng.sample(range(n), block)
+        edges += [tuple(rng.choices(inside, k=2)) for _ in range(kappa * block + rng.randint(1, 3))]
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+def _wide_layers(width: int, rng: random.Random, depth: int = 8) -> Graph:
+    """depth + 2 layers of width vertices, edges listed layer by layer from the top.
+
+    Each vertex below the first layer has 2 in-arcs from random vertices of
+    the layer above, each of the last layer 3.  At kappa 2 the least-loaded
+    start leaves the whole last layer one above, sharing one deep backward
+    cone that every gather re-walks.
+    """
+    edges = [((j - 1) * width + rng.randrange(width), j * width + i)
+             for j in range(1, depth + 2) for i in range(width)
+             for _ in range(3 if j == depth + 1 else 2)]
+    return Graph((depth + 2) * width, tuple(edges))
+
+
+def test_gathers_match_the_reference_phases():
+    # Too large for the brute-force tests: the same verdict and certificate
+    # as the phases, and an engine within kappa whose kept in-lists hold
+    # what fresh ones built from its directions hold.
+    rng = random.Random(18)
+    cases = [(_loaded_multigraph(rng, n, kappa, block), kappa)
+             for n in (100, 300, 1000) for kappa in (1, 2, 3) for block in (0, 0, 12, 40)]
+    cases.append((Graph(500, tuple((i + 1, i) for i in range(499) for _ in range(2))), 2))
+    cases.append((_wide_layers(50, rng), 2))
+    certificates = 0
+    for g, kappa in cases:
+        cert, d = bounded_orientation(g, kappa)
+        assert cert == _reference_bounded_orientation(g, kappa)[0]
+        if cert is None:
+            assert d.max_indegree() <= kappa
+            assert [sorted(es) for es in d.in_adjacency()] == Orientation(g, d.rev).in_adjacency()
+        certificates += cert is not None
+    assert 10 < certificates < len(cases) - 10
 
 
 def test_reorient_single_arc():

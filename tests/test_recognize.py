@@ -363,9 +363,9 @@ def test_planted_extended_range_scaling(k, l):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_star_into_the_centre_scales(k):
-    # Every edge points at the centre, which must shed all but k of them in
-    # one phase.  Reversing each path in the live in-lists would shift the
-    # centre's whole list per path: quadratic, a ratio near 3.5 here.
+    # Every edge points at the centre, but the least-loaded start turns all
+    # but the first towards its leaf, so the centre never goes above k and
+    # this guards the linearity of the rooted query that follows.
     stars = {n: Graph(n, tuple((leaf, 0) for leaf in range(1, n))) for n in (100_000, 200_000)}
     best = dict.fromkeys(stars, float("inf"))
     gc.disable()  # collector pauses depend on what earlier tests left alive
