@@ -16,7 +16,8 @@ import time
 import traceback
 
 from .forests import forest_decomposition
-from .graph import Graph, InputError, ParameterError, SparsityParams, parse_edge_list
+from .graph import (Graph, InputError, ParameterError, SparsityParams, format_edge_list,
+                    parse_edge_list)
 from .oracles import GENERATOR_KINDS, GenSpec, brute_force_check, generate, pebble_game_check
 from .orient import bounded_orientation
 from .recognize import certificate_json, check_sparsity
@@ -63,9 +64,7 @@ def _cmd_orient(args) -> int:
 
 def _cmd_gen(args) -> int:
     g = generate(GenSpec(args.kind, args.n, args.k, args.l, args.seed))
-    sys.stdout.write(f"{g.n} {g.m}\n")
-    for u, v in g.edges:
-        sys.stdout.write(f"{u} {v}\n")
+    sys.stdout.write(format_edge_list(g))
     return 0
 
 

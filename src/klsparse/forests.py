@@ -17,6 +17,8 @@ V(L) is the minimal (kappa,kappa)-tight set of the accepted edges holding
 both endpoints: the set an ``Orientation.gather`` of them would stall on.
 Only when all edges are accepted do the trees orient them, from parent to
 child, at most one in-arc per vertex per class, for the mid-range driver.
+The record keeps that orientation and each class's edge ids but no tree
+walks: the centroid search builds the neighbour lists it walks itself.
 """
 from __future__ import annotations
 
@@ -33,11 +35,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ForestDecomposition:
-    """Assignment of each edge id to one of kappa acyclic classes.
+    """Assignment of each edge id to one of kappa forests, as a plain record.
 
     Only ``forest_decomposition`` builds one.  ``orientation`` is the
     builder's: every edge directed from parent to child in its class's
-    tree, edge ids kept.
+    tree, edge ids kept.  Classes past the first m are empty and not stored.
     """
 
     graph: Graph
@@ -46,47 +48,13 @@ class ForestDecomposition:
     orientation: Orientation = field(compare=False, repr=False)
 
     def __post_init__(self):
-        self._classes: list[list[int]] = [[] for _ in range(self.kappa)]
+        self._classes: list[list[int]] = [[] for _ in range(min(self.kappa, len(self.assignment)))]
         for e, c in enumerate(self.assignment):
             self._classes[c].append(e)
 
     def class_edges(self, i: int) -> list[int]:
         """Edge ids of class i in increasing order; shared, so do not mutate."""
-        return self._classes[i]
-
-    def class_adjacency(self, i: int) -> list[list[tuple[int, int]]]:
-        """Per-vertex (neighbour, edge id) lists of the edges of class i."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.graph.n)]
-        for e in self._classes[i]:
-            u, v = self.graph.edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        return adj
-
-    def components(self, i: int) -> list[list[int]]:
-        """Vertex sets of the trees of class i (singletons included), sorted."""
-        adj = self.class_adjacency(i)
-        seen = [False] * self.graph.n
-        comps = []
-        for start in range(self.graph.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w, _ in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def class_is_acyclic(self, i: int) -> bool:
-        # Any cycle, parallel pair or loop leaves more edges than n - #trees.
-        return len(self._classes[i]) == self.graph.n - len(self.components(i))
+        return self._classes[i] if i < len(self._classes) else []
 
 
 def _top(jump: dict[int, int], v: int) -> int:
@@ -108,12 +76,13 @@ class _Builder:
     ``adj[i][v]`` lists the class's edge ids at v for the re-hang walks.
     A direct link is tested and made inside ``try_insert``, and linking a
     lone vertex walks nothing; ``_apply_exchange`` runs only at the end of
-    an exchange chain.
+    an exchange chain.  Class j takes its first edge only once classes
+    0..j-1 refuse one, so no more than m classes are ever opened.
     """
 
     def __init__(self, g: Graph, kappa: int):
         self.g = g
-        self.kappa = kappa
+        self.kappa = kappa = min(kappa, g.m)
         self.assignment: list[int | None] = [None] * g.m
         # w ^ across[e] is the other endpoint of edge e at endpoint w.
         self.across = [u ^ v for u, v in g.edges]
@@ -268,9 +237,9 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
     kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
-    builder = _Builder(g, kappa)
-    if 0 in builder.across:  # u ^ v is 0 only on a loop
+    if g.has_loop():
         raise InputError("forest decomposition requires a loop-free graph")
+    builder = _Builder(g, kappa)
     m, inserted = g.m, 0
     while inserted < m and builder.try_insert(inserted):
         inserted += 1

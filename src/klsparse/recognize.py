@@ -45,7 +45,7 @@ import logging
 from dataclasses import dataclass
 from itertools import count
 
-from .forests import ForestDecomposition, forest_decomposition
+from .forests import forest_decomposition
 from .graph import (
     Certificate,
     ContractError,
@@ -124,8 +124,8 @@ def _low(g: Graph, p: SparsityParams) -> RecognitionResult:
     return RecognitionResult(True, None)
 
 
-def _centroid_search(d: Orientation, fd: ForestDecomposition, i: int, k: int, l: int) -> set[int] | None:
-    """Centroid decomposition of forest class i on the engine d, in place.
+def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] | None:
+    """Centroid decomposition of forest class i, the forest of endpoint pairs, on d in place.
 
     Edges joining two trees of the class are deleted first.  Then each tree,
     and depth first each piece it splits into, has its centroid c (the
@@ -133,9 +133,15 @@ def _centroid_search(d: Orientation, fd: ForestDecomposition, i: int, k: int, l:
     source and probed at its neighbours.  c's edges and the edges between
     the new pieces are deleted, so no edge leaves d twice.  Returns the stall
     set of a failed gather or the full query's set after a failed probe.
+    Inside ``check_sparsity`` the gather cannot stall: every edge lies in one
+    of k forests, so the graph is (k,k)-sparse.  Only ``saturated_violation``,
+    on an orientation of any graph, reaches that branch.
     """
     n, edges, inc, eta = d.n, d.edges, d.in_adjacency(), l - k
-    tree = fd.class_adjacency(i)  # (neighbour, edge id) lists
+    tree: list[list[int]] = [[] for _ in range(n)]  # the class's neighbours of each vertex
+    for u, v in pairs:
+        tree[u].append(v)
+        tree[v].append(u)
     side = list(range(1, n + 1))  # each vertex's piece, its own at first; -1 once a centroid
     parent, size, heavy = [-1] * n, [0] * n, [0] * n
     tags = count(n + 1)  # the tags of trees and the pieces they split into
@@ -145,7 +151,7 @@ def _centroid_search(d: Orientation, fd: ForestDecomposition, i: int, k: int, l:
         tag, order = next(tags), [root]
         side[root], parent[root] = tag, -1
         for v in order:
-            for w, _ in tree[v]:
+            for w in tree[v]:
                 if w != parent[v] and side[w] >= 0:
                     side[w], parent[w] = tag, v
                     order.append(w)
@@ -181,7 +187,7 @@ def _centroid_search(d: Orientation, fd: ForestDecomposition, i: int, k: int, l:
                          i, c, depth)
             break
         side[c] = -1
-        pieces = [piece(w) for w, _ in tree[c] if side[w] >= 0]
+        pieces = [piece(w) for w in tree[c] if side[w] >= 0]
         doomed = crossing(order)  # c's edges, all out of c now, and those between pieces
         sinks = list(dict.fromkeys(h for h, e in doomed if side[sum(edges[e]) - h] < 0))
         if rooted_search(d, (c,), k, eta, sinks):
@@ -213,11 +219,11 @@ def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certif
     if p.t != 1:
         raise ContractError("saturated_violation requires k < l < 2k")
     tree = Graph(d.n, tuple(tree_edges))
-    if tree.m != d.n - 1 or tree.has_loop() or (fd := forest_decomposition(tree, 1)[1]) is None:
+    if tree.m != d.n - 1 or tree.has_loop() or forest_decomposition(tree, 1)[1] is None:
         raise ContractError("tree must span the orientation's vertex set")
     if d.max_indegree() > p.k:
         raise ContractError("orientation is not k-indegree-bounded")
-    found = _centroid_search(d.copy(), fd, 0, p.k, p.l)
+    found = _centroid_search(d.copy(), tree.edges, 0, p.k, p.l)
     return None if found is None else make_certificate(Graph(d.n, tuple(d.edges)), p, found)
 
 
@@ -229,8 +235,8 @@ def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
-    for i in range(p.l - p.k):
-        found = _centroid_search(d.copy(), fd, i, p.k, p.l)
+    for i in range(min(p.l - p.k, g.m)):  # the classes past the first m are empty
+        found = _centroid_search(d.copy(), [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l)
         if found is not None:
             return RecognitionResult(False, make_certificate(g, p, found))
     return RecognitionResult(True, None)

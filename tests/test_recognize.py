@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import itertools
 import json
 import logging
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -244,6 +246,30 @@ def test_public_surface_is_pinned():
         "verify_certificate",
     ]
     assert all(hasattr(klsparse, name) for name in klsparse.__all__)
+
+
+def test_forest_record_is_pinned():
+    # The record exposes its classes only: the centroid search walks its own tree lists.
+    methods = [name for name, _ in inspect.getmembers(klsparse.ForestDecomposition,
+                                                      inspect.isfunction)]
+    assert [name for name in methods if not name.startswith("_")] == ["class_edges"]
+
+
+def test_large_k_allocates_by_edges():
+    # Class j opens only once classes 0..j-1 refuse an edge, so one edge opens
+    # one class, and the mid range searches only the classes that hold edges.
+    g, k = Graph(50, ((0, 1),)), 10_000
+    tracemalloc.start()
+    try:
+        assert check_sparsity(g, k, k + 1).sparse
+        assert check_sparsity(g, k, 2 * k - 1).sparse
+        cert, fd = forest_decomposition(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert is None and fd.kappa == k
+    assert fd.class_edges(0) == [0] and fd.class_edges(k - 1) == []
+    assert peak < 1_000_000, peak
 
 
 def test_one_edge_low_range_is_sparse():
