@@ -18,13 +18,7 @@ from .graph import (
 from .orient import Orientation, bounded_orientation
 from .rooted import rooted_violation
 from .forests import ForestDecomposition, forest_decomposition
-from .recognize import (
-    RecognitionResult,
-    certificate_json,
-    check_sparsity,
-    check_superset_sparsity,
-    saturated_violation,
-)
+from .recognize import RecognitionResult, certificate_json, check_sparsity
 from .oracles import GenSpec, brute_force_check, generate, pebble_game_check
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "brute_force_check",
     "certificate_json",
     "check_sparsity",
-    "check_superset_sparsity",
     "forest_decomposition",
     "format_edge_list",
     "generate",
@@ -51,7 +44,6 @@ __all__ = [
     "parse_edge_list",
     "pebble_game_check",
     "rooted_violation",
-    "saturated_violation",
     "sparsity_bound",
     "validate_input",
     "verify_certificate",

@@ -8,7 +8,6 @@ Set SPARSITY_LOG=info or SPARSITY_LOG=debug for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -186,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, ParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -122,10 +122,6 @@ class Orientation:
             self._inc = inc
         return self._inc
 
-    def induced(self, xs) -> int:
-        """Number of edges, deleted ones skipped, with both endpoints in the set xs."""
-        return sum(1 for ends in self.edges if ends and ends[0] in xs and ends[1] in xs)
-
     def max_indegree(self) -> int:
         return max(self.indeg, default=0)
 

@@ -81,38 +81,6 @@ def _superset_violation(d0: Orientation, u0: frozenset[int], k: int, l: int) -> 
     return found | u0 if found else None
 
 
-def check_superset_sparsity(d0: Orientation, u0, k: int, l: int) -> Certificate | None:
-    """Find a set strictly containing u0 that violates (k,l)-sparsity, if any.
-
-    ``l`` may reach 3k here (the extended-range driver probes l+1), so the
-    certificate bound is computed directly rather than through
-    SparsityParams.
-    """
-    u0 = frozenset(u0)
-    t = len(u0)
-    if not t * k <= l <= (t + 1) * k:
-        raise ContractError(f"need {t}k <= l <= {t + 1}k, got k={k}, l={l}")
-    if d0.max_indegree() > k:
-        raise ContractError("orientation is not k-indegree-bounded")
-    for v in u0:
-        if not 0 <= v < d0.n:
-            raise ContractError(f"u0 vertex {v} out of range")
-        if d0.indeg[v] != 0:
-            raise ContractError("orientation is not u0-source")
-    if any(ends and u0.issuperset(ends) for ends in d0.edges):  # deleted slots are None
-        raise ContractError("u0 must be independent")
-    found = _superset_violation(d0, u0, k, l)
-    if found is None:
-        return None
-    raw = k * len(found) - l
-    bound = raw if t == 2 else max(raw, 0)
-    induced = d0.induced(found)
-    if induced <= bound:
-        raise ContractError(f"rooted query returned a non-violating set: "
-                            f"{induced} induced edges, bound {bound}")
-    return Certificate(frozenset(found), induced, bound)
-
-
 def _low(g: Graph, p: SparsityParams) -> RecognitionResult:
     """Range l <= k: bounded orientation, then one rooted-connectivity query."""
     cert, d = bounded_orientation(g, p.k)
@@ -133,9 +101,13 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     source and probed at its neighbours.  c's edges and the edges between
     the new pieces are deleted, so no edge leaves d twice.  Returns the stall
     set of a failed gather or the full query's set after a failed probe.
+    It finds a violating set whenever d, k-indegree-bounded, holds one, X,
+    on which the class induces a connected tree: the first centroid c to
+    fall in X is gathered to a source, and X - {c} then has fewer than
+    l - k entering arcs and holds a tree neighbour of c, one of the sinks.
     Inside ``check_sparsity`` the gather cannot stall: every edge lies in one
-    of k forests, so the graph is (k,k)-sparse.  Only ``saturated_violation``,
-    on an orientation of any graph, reaches that branch.
+    of k forests, so the graph is (k,k)-sparse.  Only a direct call on an
+    orientation that is not (k,k)-sparse reaches that branch.
     """
     n, edges, inc, eta = d.n, d.edges, d.in_adjacency(), l - k
     tree: list[list[int]] = [[] for _ in range(n)]  # the class's neighbours of each vertex
@@ -204,27 +176,6 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     logger.debug("forest class %d: %d centroid probes, %d edges deleted, deepest depth %d",
                  i, probes, deleted, deepest)
     return found
-
-
-def saturated_violation(d: Orientation, tree_edges, p: SparsityParams) -> Certificate | None:
-    """Centroid-decomposition search for a violating set saturated by a tree.
-
-    Returns a violating set whenever the underlying graph contains one on
-    which the given spanning tree induces a connected subgraph; may return
-    None or any valid violating set otherwise.  Such a set X holds the first
-    centroid c that falls in it, and X - {c} has fewer than l - k entering
-    arcs and a tree neighbour of c, one of the probe's sinks, for any graph.
-    The search runs on a copy of d, which must be k-indegree-bounded.
-    """
-    if p.t != 1:
-        raise ContractError("saturated_violation requires k < l < 2k")
-    tree = Graph(d.n, tuple(tree_edges))
-    if tree.m != d.n - 1 or tree.has_loop() or forest_decomposition(tree, 1)[1] is None:
-        raise ContractError("tree must span the orientation's vertex set")
-    if d.max_indegree() > p.k:
-        raise ContractError("orientation is not k-indegree-bounded")
-    found = _centroid_search(d.copy(), tree.edges, 0, p.k, p.l)
-    return None if found is None else make_certificate(Graph(d.n, tuple(d.edges)), p, found)
 
 
 def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:

@@ -16,13 +16,13 @@ from klsparse import (
     SparsityParams,
     brute_force_check,
     check_sparsity,
-    check_superset_sparsity,
     forest_decomposition,
     generate,
     induced_edge_count,
     pebble_game_check,
     verify_certificate,
 )
+from klsparse.recognize import _superset_violation
 
 GRID = [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 4), (3, 5),
         (2, 4), (2, 5), (3, 6), (3, 8)]
@@ -148,7 +148,7 @@ def test_criterion_4_main_lemma_iff():
             if rooted_exists:
                 break
 
-        algorithmic = check_superset_sparsity(d0, u0, k, l) is not None
+        algorithmic = _superset_violation(d0, frozenset(u0), k, l) is not None
         total += 1
         if not (superset_exists == rooted_exists == algorithmic):
             failures += 1

@@ -69,6 +69,17 @@ def test_check_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["check", "--k", "1", "--l", "1"], ["orient", "--kappa", "1"]])
+def test_non_utf8_file_is_bad_input(capsys, tmp_path, command):
+    # undecodable bytes are the file's fault: exit 2, not an internal error
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe 1 0\n")
+    code, out, err = _run(capsys, command + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_check_bad_parameters(capsys, triangle_file):
     code, _, err = _run(capsys, ["check", "--k", "2", "--l", "6", triangle_file])
     assert code == 2

@@ -13,12 +13,12 @@ from klsparse import (
     ParameterError,
     bounded_orientation,
     check_sparsity,
-    check_superset_sparsity,
     forest_decomposition,
     induced_edge_count,
 )
 from klsparse.graph import SparsityParams, make_certificate
 from klsparse.orient import unreached
+from klsparse.recognize import _superset_violation
 from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -75,19 +75,18 @@ def test_orientation_indegree_cache_and_reverse():
     assert d.in_adjacency() == scratch.in_adjacency() == [[0, 3], [], [1, 2]]
 
 
-def test_copy_and_induced_after_delete():
+def test_copy_after_delete():
     # A deleted edge's slot is None: the copy takes the indegrees and
-    # in-lists as they stand, and induced skips the slot.
+    # in-lists as they stand.
     d = Orientation(TRIANGLE)
     d.delete(0)  # builds the in-lists
     c = d.copy()
     assert c.indeg == d.indeg == [0, 0, 2]
     assert c.in_adjacency() == d.in_adjacency() == [[], [], [1, 2]]
-    assert d.induced({0, 1, 2}) == c.induced({0, 1, 2}) == 2 and d.induced({0, 1}) == 0
     c.delete(1)  # the copy is independent
     assert d.indeg == [0, 0, 2] and d.in_adjacency() == [[], [], [1, 2]]
     assert Orientation(TRIANGLE).copy().in_adjacency() == [[], [0], [1, 2]]  # none built yet
-    assert check_superset_sparsity(d, {0}, 2, 3) is None
+    assert _superset_violation(d, frozenset({0}), 2, 3) is None
 
 
 def test_loop_reversal_is_noop_and_counts_once():

@@ -1,7 +1,14 @@
-"""Property tests: the recognizer against exhaustive enumeration."""
+"""Property tests: the recognizer against exhaustive enumeration, and against
+itself under input changes that cannot change the answer."""
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from klsparse import Graph, SparsityParams, brute_force_check, check_sparsity, verify_certificate
+from klsparse import (GenSpec, Graph, SparsityParams, brute_force_check, check_sparsity, generate,
+                      verify_certificate)
+from klsparse.oracles import GENERATOR_KINDS
+
+GRID = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 4), (3, 5), (2, 4), (2, 5), (3, 6), (3, 8))
 
 
 @st.composite
@@ -36,3 +43,25 @@ def test_check_sparsity_matches_brute_force(case):
     if not result.sparse:
         assert verify_certificate(g, p, result.certificate)
 
+
+
+def test_appending_isolated_vertices_changes_nothing():
+    # An isolated vertex lies in no violating set and is never a failing
+    # sink, so the verdict and the certificate stay; only the m > k*n
+    # short-circuit, whose certificate is the whole vertex set, may differ.
+    # Henneberg graphs are simple and (2,3)-tight, so they serve every range.
+    rng = random.Random(21)
+    compared = 0
+    for kind in GENERATOR_KINDS:
+        for k, l in GRID:
+            for seed in range(18):
+                n = rng.randint(5, 30)  # the planted (3,6) set needs 5 vertices
+                spec = GenSpec(kind, n, *((2, 3) if kind == "tight-henneberg" else (k, l)), seed)
+                g = generate(spec)
+                padded = Graph(n + rng.randint(1, 3), g.edges)
+                before, after = check_sparsity(g, k, l), check_sparsity(padded, k, l)
+                assert before.sparse == after.sparse, (spec, k, l)
+                if g.m <= k * n:
+                    assert before.certificate == after.certificate, (spec, k, l)
+                    compared += not before.sparse
+    assert compared > 250, compared

@@ -16,7 +16,6 @@ import pytest
 
 import klsparse
 from klsparse import (
-    ContractError,
     Graph,
     InputError,
     Orientation,
@@ -25,12 +24,12 @@ from klsparse import (
     brute_force_check,
     certificate_json,
     check_sparsity,
-    check_superset_sparsity,
     forest_decomposition,
     induced_edge_count,
-    saturated_violation,
+    make_certificate,
     verify_certificate,
 )
+from klsparse.recognize import _centroid_search, _superset_violation
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -143,15 +142,14 @@ def test_validation_errors_raise():
 def test_superset_sparsity_figure_one():
     d0 = Orientation(Graph(8, FIG1_ARCS))
     assert d0.indeg[2] == 0 and max(d0.indeg) <= 2
-    cert = check_superset_sparsity(d0, {2}, 2, 3)
-    assert cert is not None
-    assert cert.vertices == frozenset({0, 1, 2, 3})
-    assert cert.induced_edges == 6 > 5 == cert.bound
+    found = _superset_violation(d0, frozenset({2}), 2, 3)
+    assert found == {0, 1, 2, 3}
+    assert induced_edge_count(FIG1, found) == 6 > 5 == 2 * len(found) - 3
 
 
 def test_superset_sparsity_single_vertex():
     d0 = Orientation(Graph(1, ()))
-    assert check_superset_sparsity(d0, {0}, 2, 3) is None
+    assert _superset_violation(d0, frozenset({0}), 2, 3) is None
 
 
 def test_superset_sparsity_k4():
@@ -161,18 +159,8 @@ def test_superset_sparsity_k4():
     assert cert0 is None
     d0 = d.copy()
     assert d0.gather((0,), 2, 0) is None
-    cert = check_superset_sparsity(d0, {0}, 2, 3)
-    assert cert is not None
-    assert cert.vertices == frozenset(range(4))
+    assert _superset_violation(d0, frozenset({0}), 2, 3) == set(range(4))
     assert _brute_violating_superset(K4, {0}, 2, 3)
-
-
-def test_superset_sparsity_contract_checks():
-    d = Orientation(TRIANGLE)  # indegrees [0,1,2], not {1}-source
-    with pytest.raises(ContractError):
-        check_superset_sparsity(d, {1}, 2, 3)
-    with pytest.raises(ContractError):
-        check_superset_sparsity(Orientation(Graph(2, ())), {0}, 2, 5)  # l > (t+1)k
 
 
 def test_superset_certificate_is_checked_under_optimize():
@@ -181,11 +169,11 @@ def test_superset_certificate_is_checked_under_optimize():
     script = """
 import klsparse.orient as orient
 import klsparse.recognize as recognize
-from klsparse import ContractError, Graph, Orientation, bounded_orientation, check_superset_sparsity
+from klsparse import ContractError, Graph, bounded_orientation, check_sparsity
 assert False, "asserts are live"
 recognize.rooted_violation = lambda d, u0, k, eta: {0}
 try:
-    check_superset_sparsity(Orientation(Graph(3, ((0, 1),))), {0}, 2, 3)
+    check_sparsity(Graph(3, ((0, 1),)), 1, 1)
 except ContractError:
     print("raised")
 orient.unreached = lambda d, seen: {0}
@@ -240,10 +228,9 @@ def test_public_surface_is_pinned():
         "Certificate", "ContractError", "ForestDecomposition", "GenSpec", "Graph", "InputError",
         "Orientation", "ParameterError", "RecognitionResult", "SparsityParams",
         "bounded_orientation", "brute_force_check", "certificate_json", "check_sparsity",
-        "check_superset_sparsity", "forest_decomposition", "format_edge_list", "generate",
-        "induced_edge_count", "make_certificate", "parse_edge_list", "pebble_game_check",
-        "rooted_violation", "saturated_violation", "sparsity_bound", "validate_input",
-        "verify_certificate",
+        "forest_decomposition", "format_edge_list", "generate", "induced_edge_count",
+        "make_certificate", "parse_edge_list", "pebble_game_check", "rooted_violation",
+        "sparsity_bound", "validate_input", "verify_certificate",
     ]
     assert all(hasattr(klsparse, name) for name in klsparse.__all__)
 
@@ -333,11 +320,9 @@ def test_centroid_failures_are_logged(caplog):
     doubled = Graph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2)))
     with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
         assert check_sparsity(K4, 2, 3).certificate.vertices == frozenset(range(4))
-        cert = saturated_violation(Orientation(doubled), ((0, 1), (1, 2)), SparsityParams(2, 3))
-        assert cert.vertices == frozenset(range(3))
+        assert _centroid_search(Orientation(doubled), ((0, 1), (1, 2)), 0, 2, 3) == {0, 1, 2}
         fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
-        cert = saturated_violation(Orientation(fig2), FIG2_TREE_ARCS, SparsityParams(2, 3))
-        assert cert.vertices == frozenset({1, 2, 3, 4})
+        assert _centroid_search(Orientation(fig2), FIG2_TREE_ARCS, 0, 2, 3) == {1, 2, 3, 4}
     assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
     assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
     assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
@@ -422,24 +407,13 @@ def test_saturated_violation_k4_star_tree():
     from klsparse import bounded_orientation
     cert0, d = bounded_orientation(K4, 2)
     star = ((0, 1), (0, 2), (0, 3))
-    cert = saturated_violation(d, star, SparsityParams(2, 3))
-    assert cert is not None
-    assert cert.vertices == frozenset(range(4))
+    assert _centroid_search(d.copy(), star, 0, 2, 3) == set(range(4))
 
 
 def test_saturated_violation_triangle_tight():
     from klsparse import bounded_orientation
     cert0, d = bounded_orientation(TRIANGLE, 2)
-    cert = saturated_violation(d, ((0, 1), (1, 2)), SparsityParams(2, 3))
-    assert cert is None
-
-
-def test_saturated_violation_requires_spanning_tree():
-    d = Orientation(K4)
-    with pytest.raises(ContractError):
-        saturated_violation(d, ((0, 1), (0, 2)), SparsityParams(2, 3))
-    with pytest.raises(ContractError):
-        saturated_violation(d, ((0, 1), (0, 2), (0, 1)), SparsityParams(2, 3))
+    assert _centroid_search(d.copy(), ((0, 1), (1, 2)), 0, 2, 3) is None
 
 
 def test_figure_two_sparse_and_recursion_finds_planted_set():
@@ -449,7 +423,7 @@ def test_figure_two_sparse_and_recursion_finds_planted_set():
     assert brute_force_check(FIG2, p) is None
     assert check_sparsity(FIG2, 2, 3).sparse
     tree = FIG2_TREE_ARCS
-    assert saturated_violation(d, tree, p) is None
+    assert _centroid_search(d.copy(), tree, 0, 2, 3) is None
 
     # adding one edge inside the left block makes {1,2,3,4} violate;
     # that set avoids the root centroid, so the recursion must descend
@@ -457,9 +431,9 @@ def test_figure_two_sparse_and_recursion_finds_planted_set():
     d2 = Orientation(g2)
     assert max(d2.indeg) <= 2
     assert induced_edge_count(g2, {1, 2, 3, 4}) == 6 > 5
-    cert = saturated_violation(d2, tree, p)
-    assert cert is not None
-    assert verify_certificate(g2, p, cert)
+    found = _centroid_search(d2.copy(), tree, 0, 2, 3)
+    assert found is not None
+    assert verify_certificate(g2, p, make_certificate(g2, p, found))
     assert brute_force_check(g2, p) is not None
     assert not check_sparsity(g2, 2, 3).sparse
 
@@ -489,11 +463,10 @@ def test_main_lemma_iff_small_sweep():
         g = Graph(n, tuple(edges))
         d0 = Orientation(g)
         exists = _brute_violating_superset(g, u0, k, l)
-        cert = check_superset_sparsity(d0, u0, k, l)
-        assert (cert is not None) == exists
-        if cert is not None:
-            xs = cert.vertices
-            assert set(xs) > u0
+        xs = _superset_violation(d0, frozenset(u0), k, l)
+        assert (xs is not None) == exists
+        if xs is not None:
+            assert xs > u0
             assert induced_edge_count(g, xs) > k * len(xs) - l
         checked += 1
     assert checked == 60
@@ -517,8 +490,8 @@ def test_superset_certificate_is_the_same_for_every_orientation():
             for rev in itertools.product((False, True), repeat=g.m):
                 d = Orientation(g, list(rev))
                 if d.max_indegree() <= k and all(d.indeg[v] == 0 for v in u0):
-                    cert = check_superset_sparsity(d, u0, k, l)
-                    answers.add(None if cert is None else cert.vertices)
+                    xs = _superset_violation(d, frozenset(u0), k, l)
+                    answers.add(None if xs is None else frozenset(xs))
             assert len(answers) <= 1
             found += answers not in (set(), {None})
     assert found > 20
@@ -564,9 +537,9 @@ def test_saturation_completeness_planted():
             continue  # planted multi-edges can exceed (k,0); resample
         p = SparsityParams(k, l)
         assert induced_edge_count(g, inside) > k * s - l
-        cert = saturated_violation(d, tree, p)
-        assert cert is not None
-        assert verify_certificate(g, p, cert)
+        found = _centroid_search(d.copy(), tree, 0, k, l)
+        assert found is not None
+        assert verify_certificate(g, p, make_certificate(g, p, found))
         done += 1
 
 
