@@ -37,9 +37,10 @@ logger = logging.getLogger(__name__)
 class ForestDecomposition:
     """Assignment of each edge id to one of kappa forests, as a plain record.
 
-    Only ``forest_decomposition`` builds one.  ``orientation`` is the
-    builder's: every edge directed from parent to child in its class's
-    tree, edge ids kept.  Classes past the first m are empty and not stored.
+    Only ``_decompose``, behind ``forest_decomposition``, builds one.
+    ``orientation`` is the builder's: every edge directed from parent to
+    child in its class's tree, edge ids kept.  Classes past the first m are
+    empty and not stored.
     """
 
     graph: Graph
@@ -239,6 +240,11 @@ def forest_decomposition(g: Graph, kappa: int) -> tuple[Certificate | None, Fore
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
     if g.has_loop():
         raise InputError("forest decomposition requires a loop-free graph")
+    return _decompose(g, kappa)
+
+
+def _decompose(g: Graph, kappa: int) -> tuple[Certificate | None, ForestDecomposition | None]:
+    """``forest_decomposition`` without its checks: kappa >= 1 and no loop are assumed."""
     builder = _Builder(g, kappa)
     m, inserted = g.m, 0
     while inserted < m and builder.try_insert(inserted):

@@ -2,30 +2,33 @@
 
 An orientation with all indegrees at most kappa exists iff no vertex set X
 induces more than kappa*|X| edges (Hakimi).  ``bounded_orientation`` finds
-one, or such an X, by gathering each vertex above kappa in a least-loaded
-start down to kappa along reversal paths on the orientation itself (Frank
+one, or such an X.  It peels every vertex outside the (kappa+1)-core, each
+taking its at most kappa remaining edges as in-edges, in O(n + m); it
+orients the core least-loaded; and it gathers each core vertex still above
+kappa down to kappa along reversal paths on the orientation itself (Frank
 and Gyarfas 1976).
 
 ``Orientation`` is the one mutable engine every range shares: edge
-endpoints, directions, indegrees, in-lists that are built on the first
-search and kept current after it, and scratch arrays, allocated by the
-first search and never copied, on which its one path search, ``gather``,
-stamps its visits.  ``gather`` (the pebble-game gather of Gabow and
-Westermann, *Forests, frames, and games*) moves indegree off a target set
-by reversing backward paths to spare vertices; when it stalls, the
-vertices that still reach the targets certify the obstruction.  The
-extended-range driver gathers in place before each insertion, and the
-mid-range centroid search gathers in place on one engine per forest class
-and deletes edges as its trees split.  The rooted query
-(``rooted.rooted_search``) gathers each sink with u0 blocked and its root
-side as stops, logging the reversals, and ``_revert`` undoes them.  (A
-forest rejection needs no gather: its failed exchange search already holds
-the stall set, see ``forests``.)
+endpoints, directions, indegrees, in-lists that ``bounded_orientation``
+hands over or the first search builds, kept current after that, and
+scratch arrays, allocated by the first search and never copied, on which
+its one path search, ``gather``, stamps its visits.  ``gather`` (the
+pebble-game gather of Gabow and Westermann, *Forests, frames, and games*)
+moves indegree off a target set by reversing backward paths to spare
+vertices; when it stalls, the vertices that still reach the targets
+certify the obstruction.  The extended-range driver gathers in place
+before each insertion, and the mid-range centroid search gathers in place
+on one engine per forest class and deletes edges as its trees split.  The
+rooted query (``rooted.rooted_search``) gathers each sink with u0 blocked
+and its root side as stops, logging the reversals, and ``_revert`` undoes
+them.  (A forest rejection needs no gather: its failed exchange search
+already holds the stall set, see ``forests``.)
 """
 from __future__ import annotations
 
 import logging
 from collections import deque
+from itertools import compress
 from typing import Container, Iterable
 
 from .graph import (Certificate, ContractError, Graph, ParameterError, SparsityParams, integer,
@@ -39,11 +42,13 @@ class Orientation:
 
     The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
     ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
-    no search reverses them.  Per-vertex in-lists are built on the first
-    call that needs them and then kept current by ``gather``, ``_revert``,
-    ``add_edge`` and ``delete``, so an orientation that is never searched
-    never pays for them.  A deleted edge keeps its id, its slot in
-    ``edges`` becomes None, and every search skips it.
+    no search reverses them.  Per-vertex in-lists come from
+    ``bounded_orientation``, whose peel builds them anyway, or else from
+    the first call that needs them, so an engine that is never searched
+    builds none.  They hold edge ids in id order at first and are then kept
+    current by ``gather``, ``_revert``, ``add_edge`` and ``delete``.  A
+    deleted edge keeps its id, its slot in ``edges`` becomes None, and
+    every search skips it.
 
     Each search takes a fresh stamp from ``scratch``, counts v as seen when
     ``mark[v]`` equals it and keeps in ``via[v]`` the edge it reached v by.
@@ -217,19 +222,28 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     Returns ``(None, orientation)`` on success, else ``(certificate, None)``
     where the certificate set X satisfies i_G(X) > kappa*|X|.
 
-    Each edge, in input order, first goes into whichever end has the lower
-    indegree so far, v on a tie.  Then each vertex still above kappa, in id
-    order, is gathered down to kappa: one unit at a time, along a backward
-    path to the nearest spare vertex (indegree below kappa), as the pebble
-    game does.  A vertex in an earlier stall set is skipped, as it would
-    stall too.  The work is O(excess * (n + m)), the pebble game's order,
-    excess being what the start leaves above kappa; blocking sets of
-    shortest paths (Even and Tarjan 1975) would take O(sqrt(m)) phases of
-    O(n + m).  Spare vertices are a few hops away on most graphs, but many
-    overloaded vertices that share one deep backward cone re-walk it for
-    every unit: on a wide, shallow layered graph this is several times
-    slower than such phases, though still faster than the pebble-game
-    oracle.
+    First everything outside the (kappa+1)-core is peeled, smallest last
+    (Matula and Beck 1983): a vertex with at most kappa edges not yet
+    directed takes them all as in-edges and leaves, which can bring a
+    neighbour down to kappa.  Each edge left, both ends in the core, in
+    input order, goes into whichever end has the lower indegree so far, v
+    on a tie.  Then each core vertex still above kappa, in id order, is
+    gathered down to kappa: one unit at a time, along a backward path to
+    the nearest spare vertex (indegree below kappa), as the pebble game
+    does.  A vertex in an earlier stall set is skipped, as it would stall
+    too.  The peel is O(n + m), and a kappa-degenerate graph has no core,
+    so nothing to gather.  The gathers are O(excess * (n + m)), the pebble
+    game's order, excess being what the start leaves above kappa in the
+    core; blocking sets of shortest paths (Even and Tarjan 1975) would take
+    O(sqrt(m)) phases of O(n + m).  Spare vertices are a few hops away on
+    most graphs, but many overloaded vertices that share one deep backward
+    cone re-walk it for every unit: on a wide, shallow layered graph, whose
+    core is over half of it, this is slower than such phases, though still
+    faster than the pebble-game oracle.
+
+    The incidence lists the peel walks, filtered to each vertex's in-edges
+    in edge-id order, become the engine's in-lists: the lists
+    ``in_adjacency`` would build.
 
     A stall set has no spare vertex and no entering arc, so no later path,
     which starts at a spare vertex, touches it, and a flip raises only its
@@ -242,16 +256,45 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
-    edges, rev, indeg = list(g.edges), [False] * g.m, [0] * g.n
+    n, edges = g.n, list(g.edges)
+    inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex, a loop once
     for e, (u, v) in enumerate(edges):
-        if indeg[u] < indeg[v]:
-            rev[e] = True
-            indeg[u] += 1
-        else:
+        inc[u].append(e)
+        if u != v:
+            inc[v].append(e)
+    undirected = list(map(len, inc))  # 0 once peeled
+    peeled = n - undirected.count(0)  # the vertices with an edge, less the core below
+    # compress skips the isolated vertices without a Python step each
+    stack = [v for v in compress(range(n), undirected) if undirected[v] <= kappa]
+    rev, indeg = [False] * len(edges), [0] * n
+    while stack:  # each vertex joins once, at its first count within kappa
+        v = stack.pop()
+        ins = []
+        for e in inc[v]:
+            a, b = edges[e]
+            w = a ^ b ^ v  # the other end; v itself for a loop
+            if undirected[w]:  # w not peeled yet, so e goes into v
+                ins.append(e)
+                rev[e] = b != v
+                undirected[w] -= 1
+                if undirected[w] == kappa:
+                    stack.append(w)
+        inc[v], indeg[v], undirected[v] = ins, len(ins), 0
+    core = list(compress(range(n), undirected))
+    peeled -= len(core)
+    for v in core:
+        inc[v] = []
+    for e, (u, v) in enumerate(edges):
+        if undirected[u] and undirected[v]:  # both ends in the core
+            if indeg[u] < indeg[v]:
+                rev[e] = True
+                u, v = v, u
             indeg[v] += 1
+            inc[v].append(e)
     d = Orientation.__new__(Orientation)
-    d._set(g.n, edges, rev, indeg)
-    over = [v for v, i in enumerate(indeg) if i > kappa]
+    d._set(n, edges, rev, indeg)
+    d._inc = inc
+    over = [v for v in core if indeg[v] > kappa]
     excess = sum(indeg[v] - kappa for v in over)
     stalled: set[int] = set()  # the vertices above kappa in a stall set
     for v in over:
@@ -261,12 +304,14 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     gathered = excess - sum(indeg[v] - kappa for v in left)
     if left:
         hoffman = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
-        logger.debug("indegree bound %d fails: %d vertices above it at the start, %d units "
-                     "gathered, %d left above it: violating set of %d vertices",
-                     kappa, len(over), gathered, len(left), len(hoffman))
+        logger.debug("indegree bound %d fails: %d vertices peeled, a core of %d, %d vertices "
+                     "above it at the start, %d units gathered, %d left above it: violating "
+                     "set of %d vertices", kappa, peeled, len(core), len(over), gathered,
+                     len(left), len(hoffman))
         return make_certificate(g, SparsityParams(kappa, 0), hoffman), None
-    logger.debug("indegree bound %d met: %d vertices above it at the start, %d units gathered",
-                 kappa, len(over), gathered)
+    logger.debug("indegree bound %d met: %d vertices peeled, a core of %d, %d vertices above "
+                 "it at the start, %d units gathered",
+                 kappa, peeled, len(core), len(over), gathered)
     if d.max_indegree() > kappa:
         raise ContractError("gathers left an indegree above kappa")
     return None, d

@@ -45,7 +45,7 @@ import logging
 from dataclasses import dataclass
 from itertools import count
 
-from .forests import forest_decomposition
+from .forests import _decompose
 from .graph import (
     Certificate,
     ContractError,
@@ -180,7 +180,7 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
 
 def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
     """Range k < l < 2k: forest decomposition plus centroid decomposition."""
-    cert, fd = forest_decomposition(g, p.k)
+    cert, fd = _decompose(g, p.k)  # validate_input has ruled out loops
     if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
         return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
     d = fd.orientation  # the builder's trees, each directed away from its root

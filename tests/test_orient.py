@@ -227,14 +227,73 @@ def test_certificate_is_the_union_of_all_maximizers():
 
 
 def test_phases_are_logged(caplog):
-    # The least-loaded start orients the triangle as a cycle.  On K4 it
-    # leaves vertices 2 and 3 above 1; 2 gathers its unit from 0, and 3 stalls.
+    # The triangle and K4 are all core at kappa 1, so nothing is peeled.  The
+    # start orients the triangle as a cycle.  On K4 it leaves vertices 2 and 3
+    # above 1; 2 gathers its unit from 0, and 3 stalls.  K4 with a pendant
+    # path 3-4-5 at kappa 2: 5 leaves, then 4, and K4 is the core.
     with caplog.at_level(logging.DEBUG, logger="klsparse"):
         bounded_orientation(TRIANGLE, 1)
         bounded_orientation(K4, 1)
-    assert "indegree bound 1 met: 0 vertices above it at the start, 0 units gathered" in caplog.text
-    assert ("indegree bound 1 fails: 2 vertices above it at the start, 1 units gathered, "
-            "1 left above it: violating set of 4 vertices") in caplog.text
+        bounded_orientation(Graph(6, K4.edges + ((3, 4), (4, 5))), 2)
+    assert ("indegree bound 1 met: 0 vertices peeled, a core of 3, 0 vertices above it at the "
+            "start, 0 units gathered") in caplog.text
+    assert ("indegree bound 1 fails: 0 vertices peeled, a core of 4, 2 vertices above it at the "
+            "start, 1 units gathered, 1 left above it: violating set of 4 vertices") in caplog.text
+    assert "indegree bound 2 met: 2 vertices peeled, a core of 4, " in caplog.text
+
+
+def test_peel_leaves_a_degenerate_multigraph_nothing_to_gather(caplog):
+    # Each vertex takes kappa edges to earlier vertices, with repeats, and
+    # now and then a loop instead, so every subgraph has a vertex with at
+    # most kappa edges: the peel directs them all and leaves no core.
+    rng = random.Random(8)
+    for kappa in (1, 2, 3):
+        n = 300
+        label = rng.sample(range(n + 30), n)  # 30 isolated vertices among them
+        edges = [(v, v) if rng.random() < 0.1 else (rng.randrange(v), v)
+                 for v in range(1, n) for _ in range(kappa)]
+        edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+                 for u, v in edges]
+        rng.shuffle(edges)
+        g = Graph(n + 30, tuple(edges))
+        assert g.has_loop() and g.has_parallel_edge() == (kappa > 1)  # 1: a forest and loops
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="klsparse"):
+            cert, d = bounded_orientation(g, kappa)
+        assert cert is None and d.max_indegree() <= kappa
+        touched = len({w for e in edges for w in e})
+        assert (f"indegree bound {kappa} met: {touched} vertices peeled, a core of 0, "
+                "0 vertices above it at the start, 0 units gathered") in caplog.text
+        assert d.in_adjacency() == Orientation(g, d.rev).in_adjacency()
+
+
+def test_engine_starts_from_in_lists_in_edge_id_order(monkeypatch):
+    # The in-lists bounded_orientation hands over are the ones in_adjacency
+    # would build from the start's directions, order included: checked at
+    # the first gather, or at the end when none runs.
+    starts = []
+    gather = Orientation.gather
+
+    def first_gather(d, *args, **kwargs):
+        if not starts:
+            starts.append(([list(es) for es in d._inc], list(d.rev)))
+        return gather(d, *args, **kwargs)
+
+    monkeypatch.setattr(Orientation, "gather", first_gather)
+    rng = random.Random(12)
+    gathered = 0
+    for _ in range(400):
+        g = _random_multigraph(rng)
+        kappa = rng.randint(1, 3)
+        starts.clear()
+        cert, d = bounded_orientation(g, kappa)
+        if starts:
+            gathered += 1
+            in_lists, rev = starts[0]
+        else:
+            in_lists, rev = d.in_adjacency(), d.rev
+        assert in_lists == Orientation(g, rev).in_adjacency()
+    assert gathered > 40
 
 
 def _reference_bounded_orientation(g: Graph, kappa: int):
@@ -340,9 +399,10 @@ def _wide_layers(width: int, rng: random.Random, depth: int = 8) -> Graph:
     """depth + 2 layers of width vertices, edges listed layer by layer from the top.
 
     Each vertex below the first layer has 2 in-arcs from random vertices of
-    the layer above, each of the last layer 3.  At kappa 2 the least-loaded
-    start leaves the whole last layer one above, sharing one deep backward
-    cone that every gather re-walks.
+    the layer above, each of the last layer 3.  At kappa 2 the peel leaves
+    a core of over half the vertices, and the start leaves about width core
+    vertices one above, sharing one deep backward cone that every gather
+    re-walks.
     """
     edges = [((j - 1) * width + rng.randrange(width), j * width + i)
              for j in range(1, depth + 2) for i in range(width)
