@@ -55,7 +55,7 @@ def _cmd_orient(args) -> int:
     cert, d = bounded_orientation(g, args.kappa)
     if cert is None:
         for e in range(g.m):
-            print(f"{e}: {d.tail(e)}->{d.head(e)}")
+            print(f"{e}: {d.tail[e]}->{d.head[e]}")
         return 0
     print(certificate_json(SparsityParams(args.kappa, 0), cert))
     return 1

@@ -97,12 +97,13 @@ class _Builder:
 
     def orientation(self) -> Orientation:
         """The accepted edges, ids kept, each directed from parent to child in its class."""
-        arcs: list[tuple[int, int] | None] = [None] * self.g.m
+        m = self.g.m - self.assignment.count(None)  # they are the first m edges
+        tail, head = [0] * m, [0] * m
         for parent in self.parent:
             for v, e in enumerate(parent):
                 if e >= 0:
-                    arcs[e] = (v ^ self.across[e], v)
-        return Orientation._from_arcs(self.g.n, [a for a in arcs if a is not None])
+                    tail[e], head[e] = v ^ self.across[e], v
+        return Orientation._from_lists(self.g.n, tail, head)
 
     def _hang(self, i: int, x: int, a: int, b: int) -> None:
         """Re-root a's tree of class i at a and hang it below b by edge x."""

@@ -8,21 +8,21 @@ orients the core least-loaded; and it gathers each core vertex still above
 kappa down to kappa along reversal paths on the orientation itself (Frank
 and Gyarfas 1976).
 
-``Orientation`` is the one mutable engine every range shares: edge
-endpoints, directions, indegrees, in-lists that ``bounded_orientation``
-hands over or the first search builds, kept current after that, and
-scratch arrays, allocated by the first search and never copied, on which
-its one path search, ``gather``, stamps its visits.  ``gather`` (the
-pebble-game gather of Gabow and Westermann, *Forests, frames, and games*)
-moves indegree off a target set by reversing backward paths to spare
-vertices; when it stalls, the vertices that still reach the targets
-certify the obstruction.  The extended-range driver gathers in place
-before each insertion, and the mid-range centroid search gathers in place
-on one engine per forest class and deletes edges as its trees split.  The
-rooted query (``rooted.rooted_search``) gathers each sink with u0 blocked
-and its root side as stops, logging the reversals, and ``_revert`` undoes
-them.  (A forest rejection needs no gather: its failed exchange search
-already holds the stall set, see ``forests``.)
+``Orientation`` is the one mutable engine every range shares: each edge an
+arc from ``tail[e]`` to ``head[e]``, with indegrees and in-lists made at
+construction and kept current after that, and scratch arrays, also made at
+construction and never copied, on which its one path search, ``gather``,
+stamps its visits.  ``gather`` (the pebble-game gather of Gabow and
+Westermann, *Forests, frames, and games*) moves indegree off a target set
+by reversing backward paths to spare vertices; when it stalls, the
+vertices that still reach the targets certify the obstruction.  The
+extended-range driver gathers in place before each insertion, and the
+mid-range centroid search gathers in place on one engine per forest class
+and deletes edges as its trees split.  The rooted query
+(``rooted.rooted_search``) gathers each sink with u0 blocked and its root
+side as stops, logging the reversals, and ``_revert`` undoes them.  (A
+forest rejection needs no gather: its failed exchange search already holds
+the stall set, see ``forests``.)
 """
 from __future__ import annotations
 
@@ -38,94 +38,68 @@ logger = logging.getLogger(__name__)
 
 
 class Orientation:
-    """The mutable orientation engine: edges, their directions, indegrees.
+    """The mutable orientation engine: arc e runs ``tail[e] -> head[e]``.
 
-    The direction bit of edge ``(u, v)`` is False for ``u -> v`` and True for
-    ``v -> u``.  Loops always contribute 1 to their vertex's indegree and
-    no search reverses them.  Per-vertex in-lists come from
-    ``bounded_orientation``, whose peel builds them anyway, or else from
-    the first call that needs them, so an engine that is never searched
-    builds none.  They hold edge ids in id order at first and are then kept
+    Loops always contribute 1 to their vertex's indegree and no search
+    reverses them.  ``indeg`` and the per-vertex in-lists ``inc`` are made
+    with the engine, holding edge ids in id order unless
+    ``bounded_orientation`` hands over the ones its peel built, and are kept
     current by ``gather``, ``_revert``, ``add_edge`` and ``delete``.  A
-    deleted edge keeps its id, its slot in ``edges`` becomes None, and
-    every search skips it.
+    deleted edge keeps its id, its ``head`` becomes -1, and every search
+    skips it.
 
     Each search takes a fresh stamp from ``scratch``, counts v as seen when
     ``mark[v]`` equals it and keeps in ``via[v]`` the edge it reached v by.
-    These arrays are None until the first search; ``copy`` makes its own.
+    These arrays are made with the engine; a copy makes its own.
     """
 
-    __slots__ = ("n", "edges", "rev", "indeg", "_inc", "mark", "via", "_stamp")
+    __slots__ = ("n", "tail", "head", "indeg", "inc", "mark", "via", "_stamp")
 
-    def __init__(self, graph: Graph, rev: list[bool] | None = None):
+    def __new__(cls, graph: Graph, rev: list[bool] | None = None) -> "Orientation":
+        """Edge ``(u, v)`` directed ``u -> v``, or ``v -> u`` where ``rev`` holds True."""
         rev = [False] * graph.m if rev is None else list(rev)
         if len(rev) != graph.m:
             raise ContractError("direction vector length must equal edge count")
-        self._set(graph.n, list(graph.edges), rev)
+        tail = [v if r else u for (u, v), r in zip(graph.edges, rev)]
+        head = [u if r else v for (u, v), r in zip(graph.edges, rev)]
+        return cls._from_lists(graph.n, tail, head)
 
     @classmethod
-    def _from_arcs(cls, n: int, arcs: list[tuple[int, int]]) -> "Orientation":
-        """Each trusted ``(tail, head)`` pair as an edge directed tail to head."""
-        d = cls.__new__(cls)
-        d._set(n, arcs, [False] * len(arcs))
+    def _from_lists(cls, n: int, tail: list[int], head: list[int],
+                    inc: list[list[int]] | None = None) -> "Orientation":
+        """The engine on trusted lists as they are; indeg counts inc, built by head if not given."""
+        if inc is None:
+            inc = [[] for _ in range(n)]
+            for e, h in enumerate(head):
+                inc[h].append(e)
+        d = object.__new__(cls)
+        d.n, d.tail, d.head, d.inc, d.indeg = n, tail, head, inc, list(map(len, inc))
+        d.mark, d.via, d._stamp = [0] * n, [-1] * n, 0
         return d
-
-    def _set(self, n: int, edges: list[tuple[int, int]], rev: list[bool],
-             indeg: list[int] | None = None) -> None:
-        """Take the lists as they are; indeg, unless given, is counted from them."""
-        if indeg is None:
-            indeg = [0] * n
-            for (u, v), r in zip(edges, rev):
-                indeg[u if r else v] += 1
-        self.n, self.edges, self.rev, self.indeg = n, edges, rev, indeg
-        self._inc, self.mark = None, None
-
-    def head(self, e: int) -> int:
-        u, v = self.edges[e]
-        return u if self.rev[e] else v
-
-    def tail(self, e: int) -> int:
-        u, v = self.edges[e]
-        return v if self.rev[e] else u
 
     def add_edge(self, u: int, v: int) -> None:
         """Append edge ``(u, v)`` directed ``u -> v``; its id is the old edge count."""
-        self.edges.append((u, v))
-        self.rev.append(False)
+        self.inc[v].append(len(self.head))
+        self.tail.append(u)
+        self.head.append(v)
         self.indeg[v] += 1
-        if self._inc is not None:
-            self._inc[v].append(len(self.edges) - 1)
 
     def delete(self, e: int) -> None:
         """Take edge e out of the orientation; its id is not reused."""
-        head = self.head(e)
-        self.in_adjacency()[head].remove(e)
+        head = self.head[e]
+        self.inc[head].remove(e)
         self.indeg[head] -= 1
-        self.edges[e] = None
+        self.head[e] = -1
 
     def copy(self) -> "Orientation":
-        """An independent engine: indegrees and any built in-lists are copied, not recounted."""
-        d = Orientation.__new__(Orientation)
-        d.n, d.edges, d.rev, d.indeg = self.n, list(self.edges), list(self.rev), list(self.indeg)
-        d._inc = None if self._inc is None else [list(es) for es in self._inc]
-        d.mark = None
-        return d
+        """An independent engine: arcs and in-lists copied as they stand, in-list order kept."""
+        return self._from_lists(self.n, list(self.tail), list(self.head),
+                                [list(es) for es in self.inc])
 
     def scratch(self) -> tuple[list[int], list[int], int]:
         """Start a search: ``mark``, ``via`` and a stamp no entry of ``mark`` holds yet."""
-        if self.mark is None:
-            self.mark, self.via, self._stamp = [0] * self.n, [-1] * self.n, 0
         self._stamp += 1
         return self.mark, self.via, self._stamp
-
-    def in_adjacency(self) -> list[list[int]]:
-        """Edge ids grouped by current head; kept current, so do not mutate."""
-        if self._inc is None:
-            inc: list[list[int]] = [[] for _ in range(self.n)]
-            for e, ((u, v), r) in enumerate(zip(self.edges, self.rev)):
-                inc[u if r else v].append(e)
-            self._inc = inc
-        return self._inc
 
     def max_indegree(self) -> int:
         return max(self.indeg, default=0)
@@ -149,7 +123,7 @@ class Orientation:
         reversed edge goes into it with its slot in its old head's in-list,
         for ``_revert``, and the last path is found but not reversed.
         """
-        edges, rev, indeg, inc = self.edges, self.rev, self.indeg, self.in_adjacency()
+        tails, heads, indeg, inc = self.tail, self.head, self.indeg, self.inc
         mark, via, stamp = self.scratch()
         queue, excess = [], -budget
         for t in targets:  # each distinct target once
@@ -164,8 +138,7 @@ class Orientation:
             slack = -1
             for w in queue:
                 for e in inc[w]:
-                    a, b = edges[e]
-                    tl = b if rev[e] else a
+                    tl = tails[e]
                     if mark[tl] != stamp:
                         mark[tl], via[tl] = stamp, e
                         if indeg[tl] < k or tl in stops:
@@ -184,8 +157,8 @@ class Orientation:
             # so a hub's list is never shifted.
             indeg[slack] += 1
             while (e := via[slack]) >= 0:
-                head = self.head(e)
-                rev[e] = not rev[e]
+                head = heads[e]
+                tails[e], heads[e] = head, slack
                 old = inc[head]
                 i = old.index(e)
                 old[i] = old[-1]
@@ -203,11 +176,11 @@ class Orientation:
 
     def _revert(self, undo: list) -> None:
         """Undo the reversals ``gather`` logged, last first, restoring in-list order exactly."""
-        rev, indeg, inc = self.rev, self.indeg, self._inc
+        tails, heads, indeg, inc = self.tail, self.head, self.indeg, self.inc
         while undo:
             e, i = undo.pop()
-            new, old = self.head(e), self.tail(e)
-            rev[e] = not rev[e]
+            new, old = heads[e], tails[e]
+            tails[e], heads[e] = new, old
             indeg[new] -= 1
             indeg[old] += 1
             inc[new].pop()  # e, the last entry
@@ -242,8 +215,8 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     faster than the pebble-game oracle.
 
     The incidence lists the peel walks, filtered to each vertex's in-edges
-    in edge-id order, become the engine's in-lists: the lists
-    ``in_adjacency`` would build.
+    in edge-id order, become the engine's in-lists: the lists the engine
+    would build from the heads.
 
     A stall set has no spare vertex and no entering arc, so no later path,
     which starts at a spare vertex, touches it, and a flip raises only its
@@ -256,7 +229,7 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     kappa = integer(kappa, "kappa")
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
-    n, edges = g.n, list(g.edges)
+    n, edges = g.n, g.edges
     inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex, a loop once
     for e, (u, v) in enumerate(edges):
         inc[u].append(e)
@@ -266,7 +239,9 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     peeled = n - undirected.count(0)  # the vertices with an edge, less the core below
     # compress skips the isolated vertices without a Python step each
     stack = [v for v in compress(range(n), undirected) if undirected[v] <= kappa]
-    rev, indeg = [False] * len(edges), [0] * n
+    # Every edge is directed below, by the graph's own endpoint objects: w
+    # would be a new int object per edge.
+    tail, head = [0] * g.m, [0] * g.m
     while stack:  # each vertex joins once, at its first count within kappa
         v = stack.pop()
         ins = []
@@ -275,25 +250,25 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
             w = a ^ b ^ v  # the other end; v itself for a loop
             if undirected[w]:  # w not peeled yet, so e goes into v
                 ins.append(e)
-                rev[e] = b != v
+                if b != v:
+                    a, b = b, a
+                tail[e], head[e] = a, b
                 undirected[w] -= 1
                 if undirected[w] == kappa:
                     stack.append(w)
-        inc[v], indeg[v], undirected[v] = ins, len(ins), 0
+        inc[v], undirected[v] = ins, 0
     core = list(compress(range(n), undirected))
     peeled -= len(core)
     for v in core:
         inc[v] = []
     for e, (u, v) in enumerate(edges):
         if undirected[u] and undirected[v]:  # both ends in the core
-            if indeg[u] < indeg[v]:
-                rev[e] = True
+            if len(inc[u]) < len(inc[v]):
                 u, v = v, u
-            indeg[v] += 1
+            tail[e], head[e] = u, v
             inc[v].append(e)
-    d = Orientation.__new__(Orientation)
-    d._set(n, edges, rev, indeg)
-    d._inc = inc
+    d = Orientation._from_lists(n, tail, head, inc)
+    indeg = d.indeg
     over = [v for v in core if indeg[v] > kappa]
     excess = sum(indeg[v] - kappa for v in over)
     stalled: set[int] = set()  # the vertices above kappa in a stall set
@@ -323,11 +298,9 @@ def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> se
     The set seen is grown in place.
     """
     out: list[list[int]] = [[] for _ in range(d.n)]
-    for ends, r in zip(d.edges, d.rev):
-        if ends is None:
-            continue  # deleted
-        a, b = ends
-        out[b if r else a].append(a if r else b)
+    for t, h in zip(d.tail, d.head):
+        if h >= 0:  # not deleted
+            out[t].append(h)
     queue = deque(seen)
     seen.update(blocked)
     while queue:

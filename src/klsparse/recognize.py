@@ -109,7 +109,7 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     of k forests, so the graph is (k,k)-sparse.  Only a direct call on an
     orientation that is not (k,k)-sparse reaches that branch.
     """
-    n, edges, inc, eta = d.n, d.edges, d.in_adjacency(), l - k
+    n, tails, inc, eta = d.n, d.tail, d.inc, l - k
     tree: list[list[int]] = [[] for _ in range(n)]  # the class's neighbours of each vertex
     for u, v in pairs:
         tree[u].append(v)
@@ -131,7 +131,7 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
 
     def crossing(heads) -> list[tuple[int, int]]:
         """(head, edge) for the edges into heads whose tail lies in another piece."""
-        return [(h, e) for h in heads for e in inc[h] if side[sum(edges[e]) - h] != side[h]]
+        return [(h, e) for h in heads for e in inc[h] if side[tails[e]] != side[h]]
 
     trees = [piece(v) for v in range(n) if tree[v] and side[v] <= n]  # v's tree not yet tagged
     stack = [(order, 0) for order in reversed(trees)]
@@ -161,7 +161,7 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
         side[c] = -1
         pieces = [piece(w) for w in tree[c] if side[w] >= 0]
         doomed = crossing(order)  # c's edges, all out of c now, and those between pieces
-        sinks = list(dict.fromkeys(h for h, e in doomed if side[sum(edges[e]) - h] < 0))
+        sinks = list(dict.fromkeys(h for h, e in doomed if side[tails[e]] < 0))
         if rooted_search(d, (c,), k, eta, sinks):
             logger.debug("forest class %d fails at centroid %d, depth %d: a neighbour probe",
                          i, c, depth)
@@ -202,7 +202,7 @@ def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
     probe searches only the neighbours of u and v; the full query runs
     once, after a failed probe, for the certificate.
     """
-    d = Orientation._from_arcs(g.n, [])  # each edge enters a gathered source: indegrees <= k
+    d = Orientation._from_lists(g.n, [], [])  # each edge enters a gathered source: indeg <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = p.l + 1 - 2 * p.k
     for e, (u, v) in enumerate(g.edges):

@@ -5,9 +5,9 @@ about the digraph that deletes u0 and adds a root s with k - indeg(v)
 parallel arcs into every remaining vertex v: is it rooted eta-arc-connected
 from s, that is, does every nonempty vertex set avoiding s and u0 have at
 least eta entering arcs?  The root arcs are never built.  The search reads
-the orientation's own indegrees and in-lists; a vertex's spare indegree is
-its root capacity, edges whose tail lies in u0 are skipped, and loops never
-lead anywhere.
+the engine's own ``indeg`` and in-lists ``inc``; a vertex's spare indegree
+is its root capacity, edges whose tail lies in u0 are skipped, and loops
+never lead anywhere.
 
 For eta = 1 one forward search from the vertices with spare indegree is
 the whole query: O(n + m).  For eta >= 2 the search is local.  A root

@@ -132,8 +132,8 @@ def test_criterion_4_main_lemma_iff():
 
         # right side, built independently from the definition: delete u0,
         # add a root, wire k - indeg(v) root arcs, enumerate indegrees
-        arcs = [(d0.tail(e), d0.head(e)) for e in range(g.m)
-                if d0.tail(e) not in u0]
+        arcs = [(d0.tail[e], d0.head[e]) for e in range(g.m)
+                if d0.tail[e] not in u0]
         root = g.n
         for v in others:
             arcs.extend([(root, v)] * (k - d0.indeg[v]))

@@ -201,10 +201,10 @@ def _check_builder(b: _Builder) -> None:
     # child, so a vertex has at most one in-arc per class.
     d = b.orientation()
     accepted = [e for e, c in enumerate(b.assignment) if c is not None]
-    assert list(range(len(accepted))) == accepted and len(d.edges) == len(accepted)
+    assert list(range(len(accepted))) == accepted and len(d.head) == len(accepted)
     into = Counter()
     for e in accepted:
-        tail, head = d.tail(e), d.head(e)
+        tail, head = d.tail[e], d.head[e]
         assert sorted((tail, head)) == sorted(g.edges[e])
         assert b.parent[b.assignment[e]][head] == e
         into[b.assignment[e], head] += 1

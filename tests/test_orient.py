@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import logging
 import random
@@ -61,32 +62,48 @@ def _gather_on_copy(d: Orientation, k: int, u0) -> tuple[set[int] | None, Orient
     return d0.gather(sorted(u0), k, 0), d0
 
 
+def _rebuilt(d: Orientation) -> Orientation:
+    """A fresh engine on d's arcs, edge ids kept, none deleted: in-lists in id order."""
+    return Orientation(Graph(d.n, tuple(zip(d.tail, d.head))))
+
+
 def test_orientation_indegree_cache_and_reverse():
     d = Orientation(TRIANGLE)
     assert d.indeg == [0, 1, 2]
-    assert d.in_adjacency() == [[], [0], [1, 2]]
+    assert d.inc == [[], [0], [1, 2]]
     assert d.gather((1,), 2, 0) is None  # reverses edge 0
-    assert d.head(0) == 0 and d.tail(0) == 1
+    assert d.head[0] == 0 and d.tail[0] == 1
     assert d.indeg == [1, 0, 2]
     d.add_edge(1, 0)
     assert d.indeg == [2, 0, 2]
     # the kept in-lists match ones built from scratch
-    scratch = Orientation(Graph(3, tuple(d.edges)), d.rev)
-    assert d.in_adjacency() == scratch.in_adjacency() == [[0, 3], [], [1, 2]]
+    assert d.inc == _rebuilt(d).inc == [[0, 3], [], [1, 2]]
 
 
 def test_copy_after_delete():
-    # A deleted edge's slot is None: the copy takes the indegrees and
+    # A deleted edge's head is -1: the copy takes the arcs, indegrees and
     # in-lists as they stand.
     d = Orientation(TRIANGLE)
-    d.delete(0)  # builds the in-lists
+    d.delete(0)
     c = d.copy()
+    assert c.head == d.head == [-1, 2, 2]
     assert c.indeg == d.indeg == [0, 0, 2]
-    assert c.in_adjacency() == d.in_adjacency() == [[], [], [1, 2]]
+    assert c.inc == d.inc == [[], [], [1, 2]]
     c.delete(1)  # the copy is independent
-    assert d.indeg == [0, 0, 2] and d.in_adjacency() == [[], [], [1, 2]]
-    assert Orientation(TRIANGLE).copy().in_adjacency() == [[], [0], [1, 2]]  # none built yet
+    assert d.indeg == [0, 0, 2] and d.inc == [[], [], [1, 2]]
+    assert c.inc is not d.inc
     assert _superset_violation(d, frozenset({0}), 2, 3) is None
+
+
+def test_engine_record_is_pinned():
+    # One direction encoding, arc e as tail[e] -> head[e], and one trusted
+    # constructor beside Orientation(graph, rev).
+    assert Orientation.__slots__ == ("n", "tail", "head", "indeg", "inc", "mark", "via", "_stamp")
+    methods = [name for name, _ in inspect.getmembers(Orientation, inspect.isfunction)]
+    assert [name for name in methods if not name.startswith("_")] == [
+        "add_edge", "copy", "delete", "gather", "max_indegree", "scratch"]
+    constructors = [name for name, _ in inspect.getmembers(Orientation, inspect.ismethod)]
+    assert constructors == ["_from_lists"]
 
 
 def test_loop_reversal_is_noop_and_counts_once():
@@ -95,7 +112,7 @@ def test_loop_reversal_is_noop_and_counts_once():
     assert d.indeg == [1]
     assert d.gather((0,), 1, 0) == {0}  # a loop is never on a gather path
     assert d.indeg == [1]
-    assert d.head(0) == d.tail(0) == 0
+    assert d.head[0] == d.tail[0] == 0
 
 
 def test_gather_counts_a_repeated_target_once():
@@ -115,7 +132,7 @@ def test_gather_stops_and_blocked_vertices():
     assert d.gather((0,), 1, 0) is None and d.indeg == [0, 1, 1]
     d = Orientation(path)
     assert d.gather((0,), 1, 0, stops={1}) is None and d.indeg == [0, 2, 0]
-    assert d.rev == [False, True]
+    assert (d.tail, d.head) == ([2, 0], [1, 1])
     d = Orientation(path)
     assert d.gather((0,), 1, 0, blocked={1}) == {0} and d.indeg == [1, 1, 0]
 
@@ -160,7 +177,7 @@ def test_bounded_orientation_matches_brute_force():
             assert exists
             assert max(d.indeg, default=0) <= kappa
             # reorientation never changes the underlying edge multiset
-            assert sorted(tuple(sorted((d.tail(e), d.head(e)))) for e in range(g.m)) \
+            assert sorted(tuple(sorted((d.tail[e], d.head[e]))) for e in range(g.m)) \
                 == sorted(tuple(sorted(edge)) for edge in g.edges)
         else:
             infeasible += 1
@@ -264,19 +281,19 @@ def test_peel_leaves_a_degenerate_multigraph_nothing_to_gather(caplog):
         touched = len({w for e in edges for w in e})
         assert (f"indegree bound {kappa} met: {touched} vertices peeled, a core of 0, "
                 "0 vertices above it at the start, 0 units gathered") in caplog.text
-        assert d.in_adjacency() == Orientation(g, d.rev).in_adjacency()
+        assert d.inc == _rebuilt(d).inc
 
 
 def test_engine_starts_from_in_lists_in_edge_id_order(monkeypatch):
-    # The in-lists bounded_orientation hands over are the ones in_adjacency
-    # would build from the start's directions, order included: checked at
-    # the first gather, or at the end when none runs.
+    # The in-lists bounded_orientation hands over are the ones a fresh
+    # engine builds from the start's arcs, order included: checked at the
+    # first gather, or at the end when none runs.
     starts = []
     gather = Orientation.gather
 
     def first_gather(d, *args, **kwargs):
         if not starts:
-            starts.append(([list(es) for es in d._inc], list(d.rev)))
+            starts.append(([list(es) for es in d.inc], list(d.tail), list(d.head)))
         return gather(d, *args, **kwargs)
 
     monkeypatch.setattr(Orientation, "gather", first_gather)
@@ -289,10 +306,10 @@ def test_engine_starts_from_in_lists_in_edge_id_order(monkeypatch):
         cert, d = bounded_orientation(g, kappa)
         if starts:
             gathered += 1
-            in_lists, rev = starts[0]
+            in_lists, tail, head = starts[0]
         else:
-            in_lists, rev = d.in_adjacency(), d.rev
-        assert in_lists == Orientation(g, rev).in_adjacency()
+            in_lists, tail, head = d.inc, d.tail, d.head
+        assert in_lists == Orientation(Graph(g.n, tuple(zip(tail, head)))).inc
     assert gathered > 40
 
 
@@ -307,10 +324,10 @@ def _reference_bounded_orientation(g: Graph, kappa: int):
     gathers must return the same one.
     """
     d = Orientation(g)
-    edges, rev, indeg = d.edges, d.rev, d.indeg
+    edges, tails, heads, indeg = g.edges, d.tail, d.head, d.indeg
     over = [v for v, i in enumerate(indeg) if i > kappa]
     while over:
-        inc = d.in_adjacency()
+        inc = d.inc
         level = [-1] * g.n
         for v in over:
             level[v] = 0
@@ -355,17 +372,17 @@ def _reference_bounded_orientation(g: Graph, kappa: int):
                 else:  # t is spare: reverse the path from it to x
                     path.append(lst[i])
                     for h, e in zip(stack, path):
-                        rev[e] = not rev[e]
+                        tails[e], heads[e] = heads[e], tails[e]
                         ptr[h] += 1
                     moved += path
                     indeg[x] -= 1
                     indeg[t] += 1
                     del stack[1:], path[:]
         gone = set(moved)
-        for h in {d.tail(e) for e in gone}:  # the old heads
+        for h in {tails[e] for e in gone}:  # the old heads
             inc[h] = [e for e in inc[h] if e not in gone]
         for e in moved:
-            inc[d.head(e)].append(e)
+            inc[heads[e]].append(e)
         over = [v for v in over if indeg[v] > kappa]
     if over:
         xs = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
@@ -425,7 +442,7 @@ def test_gathers_match_the_reference_phases():
         assert cert == _reference_bounded_orientation(g, kappa)[0]
         if cert is None:
             assert d.max_indegree() <= kappa
-            assert [sorted(es) for es in d.in_adjacency()] == Orientation(g, d.rev).in_adjacency()
+            assert [sorted(es) for es in d.inc] == _rebuilt(d).inc
         certificates += cert is not None
     assert 10 < certificates < len(cases) - 10
 
@@ -435,7 +452,7 @@ def test_reorient_single_arc():
     stuck, d0 = _gather_on_copy(Orientation(g), 1, {1})
     assert stuck is None
     assert d0.indeg == [1, 0]
-    assert d0.head(0) == 0
+    assert d0.head[0] == 0
 
 
 def test_reorient_directed_cycle_fails():
@@ -450,7 +467,7 @@ def test_reorient_already_source_returns_equal():
     d = Orientation(Graph(2, ((0, 1),)))  # arc 0->1, vertex 0 is a source
     stuck, d0 = _gather_on_copy(d, 1, {0})
     assert stuck is None
-    assert d0.rev == d.rev
+    assert (d0.tail, d0.head) == (d.tail, d.head)
     assert d0 is not d  # input not mutated
 
 
@@ -458,7 +475,7 @@ def test_reorient_empty_u0_is_identity():
     d = Orientation(TRIANGLE)
     stuck, d0 = _gather_on_copy(d, 2, ())
     assert stuck is None
-    assert d0.rev == d.rev
+    assert (d0.tail, d0.head) == (d.tail, d.head)
 
 
 def test_reorient_random_properties():
@@ -477,15 +494,14 @@ def test_reorient_random_properties():
             trial = u0_ok | {v}
             if all(not (a in trial and b in trial) for a, b in g.edges):
                 u0_ok.add(v)
-        before = sorted(tuple(sorted((d.tail(e), d.head(e)))) for e in range(g.m))
+        before = sorted(tuple(sorted((d.tail[e], d.head[e]))) for e in range(g.m))
         stuck, d0 = _gather_on_copy(d, k, u0_ok)
         if stuck is None:
             assert all(d0.indeg[v] == 0 for v in u0_ok)
             assert max(d0.indeg, default=0) <= k
-            after = sorted(tuple(sorted((d0.tail(e), d0.head(e)))) for e in range(g.m))
+            after = sorted(tuple(sorted((d0.tail[e], d0.head[e]))) for e in range(g.m))
             assert before == after
-            scratch = Orientation(g, d0.rev)
-            assert [sorted(es) for es in d0.in_adjacency()] == scratch.in_adjacency()
+            assert [sorted(es) for es in d0.inc] == _rebuilt(d0).inc
         else:
             failures += 1
             assert stuck > u0_ok
@@ -553,7 +569,7 @@ def _reference_gather(d: Orientation, targets, k: int, budget: int) -> set[int] 
     The engine's stamped gather must match it step for step: the same
     return value, directions, indegrees and in-list order.
     """
-    inc, indeg = d.in_adjacency(), d.indeg
+    inc, indeg = d.inc, d.indeg
     while sum(indeg[v] for v in targets) > budget:
         parent: dict[int, int] = {}
         seen = set(targets)
@@ -561,7 +577,7 @@ def _reference_gather(d: Orientation, targets, k: int, budget: int) -> set[int] 
         slack = -1
         while queue and slack < 0:
             for e in inc[queue.popleft()]:
-                tl = d.tail(e)
+                tl = d.tail[e]
                 if tl not in seen:
                     seen.add(tl)
                     parent[tl] = e
@@ -574,8 +590,8 @@ def _reference_gather(d: Orientation, targets, k: int, budget: int) -> set[int] 
         indeg[slack] += 1
         while slack in parent:
             e = parent[slack]
-            head = d.head(e)
-            d.rev[e] = not d.rev[e]
+            head = d.head[e]
+            d.tail[e], d.head[e] = d.head[e], d.tail[e]
             old = inc[head]
             old[old.index(e)] = old[-1]
             old.pop()
@@ -589,7 +605,7 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
     """``rooted.rooted_search`` with a fresh parent dict and deque per search."""
     if eta == 0:
         return set()
-    n, edges, rev, indeg, inc = d.n, d.edges, d.rev, d.indeg, d.in_adjacency()
+    n, tails, heads, indeg, inc = d.n, d.tail, d.head, d.indeg, d.inc
     rooted: set[int] = set()
     flow: set[int] = set()
     out_flow: dict[int, list[int]] = {}
@@ -608,8 +624,8 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
             while queue and start < 0:
                 w = queue.popleft()
                 for e in itertools.chain(inc[w], out_flow.get(w, ())):
-                    a, b = edges[e]
-                    if e in flow and (a if rev[e] else b) == w:
+                    a, b = tails[e], heads[e]
+                    if e in flow and b == w:
                         continue
                     v = a + b - w
                     if v not in parent and v not in u0:
@@ -647,14 +663,13 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
 def _reference_unreached(d: Orientation, seen: set[int], blocked, flow) -> set[int]:
     """The forward reach of ``_reference_rooted_search``: edges in flow are followed head to tail."""
     out: list[list[int]] = [[] for _ in range(d.n)]
-    for e, (ends, r) in enumerate(zip(d.edges, d.rev)):
-        if ends is None:
+    for e, (a, b) in enumerate(zip(d.tail, d.head)):
+        if b < 0:
             continue  # deleted
-        a, b = ends
-        if (e in flow) == r:
-            out[a].append(b)
-        else:
+        if e in flow:
             out[b].append(a)
+        else:
+            out[a].append(b)
     queue = deque(seen)
     seen.update(blocked)
     while queue:
@@ -690,7 +705,7 @@ def _random_step(rng: random.Random, d: Orientation) -> tuple[str, tuple]:
         u0 = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
         sinks = rng.sample(range(n), rng.randint(0, n)) if rng.random() < 0.5 else None
         return kind, (u0, k, rng.randint(1, 3), sinks)
-    live = [e for e, ends in enumerate(d.edges) if ends is not None]
+    live = [e for e, h in enumerate(d.head) if h >= 0]
     if kind == "delete" and live:
         return kind, (rng.choice(live),)
     return "add_edge", (rng.randrange(n), rng.randrange(n))
@@ -717,15 +732,15 @@ def test_stamped_searches_match_the_dict_searches():
             assert got == _run(ref, kind, args, reference=True)
             stalls += kind == "gather" and got is not None
             failures += kind == "query" and bool(got)
-            assert d.edges == ref.edges and d.rev == ref.rev and d.indeg == ref.indeg
-            assert d.in_adjacency() == ref.in_adjacency()
+            assert d.tail == ref.tail and d.head == ref.head and d.indeg == ref.indeg
+            assert d.inc == ref.inc
     assert stalls > 40 and failures > 150
 
 
 def _fresh(d: Orientation) -> Orientation:
     """A never-searched engine holding d's live edges with their directions."""
-    live = [e for e, ends in enumerate(d.edges) if ends is not None]
-    return Orientation(Graph(d.n, tuple(d.edges[e] for e in live)), [d.rev[e] for e in live])
+    live = [e for e, h in enumerate(d.head) if h >= 0]
+    return Orientation(Graph(d.n, tuple((d.tail[e], d.head[e]) for e in live)))
 
 
 def test_scratch_arrays_are_per_engine():
@@ -740,7 +755,7 @@ def test_scratch_arrays_are_per_engine():
         for step in range(16):
             if step == 8:
                 engines.append(engines[0].copy())
-                assert engines[1].mark is None
+                assert engines[1].mark is not engines[0].mark
             for d in engines:
                 kind, args = _random_step(rng, d)
                 if kind in ("gather", "query"):
@@ -777,15 +792,15 @@ def test_gather_undo_log_reverts_exactly():
         got = d.gather(targets, k, budget, blocked=blocked, stops=stops, undo=log)
         assert got == plain.gather(targets, k, budget, blocked=blocked, stops=stops)
         assert not (got or set()) & blocked
-        assert not any(blocked & set(d.edges[e]) for e, _ in log)
+        assert not any(blocked & {d.tail[e], d.head[e]} for e, _ in log)
         assert all(i <= k for v, i in enumerate(d.indeg) if v not in stops)
         flipped += bool(log)
         stalls += got is not None
         over += any(d.indeg[v] > k for v in stops)
         d._revert(log)
         assert log == []
-        assert (d.edges, d.rev, d.indeg) == (before.edges, before.rev, before.indeg)
-        assert d.in_adjacency() == before.in_adjacency()
+        assert (d.tail, d.head, d.indeg) == (before.tail, before.head, before.indeg)
+        assert d.inc == before.inc
     assert flipped > 100 and stalls > 100 and over > 15
 
 

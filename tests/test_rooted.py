@@ -185,8 +185,8 @@ def test_same_set_as_global_search():
 def _cut(d: Orientation, u0, k: int, xs) -> int:
     """Arcs entering xs: spare indegree plus edges from outside xs and u0."""
     spare = sum(k - d.indeg[v] for v in xs)
-    return spare + sum(1 for e in range(len(d.edges))
-                       if d.head(e) in xs and d.tail(e) not in xs and d.tail(e) not in u0)
+    return spare + sum(1 for e in range(len(d.head))
+                       if d.head[e] in xs and d.tail[e] not in xs and d.tail[e] not in u0)
 
 
 def test_two_sources_and_a_loop():
@@ -253,7 +253,8 @@ def _checked_against_full_query(probes):
     def both(d, u0, k, eta, sinks):
         found = rooted_search(d, u0, k, eta, sinks)
         # Asked at once: a wrong answer changes the engine later probes see.
-        assert bool(found) == bool(rooted_violation(d, u0, k, eta)), (d.edges, sorted(u0), k, eta)
+        assert bool(found) == bool(rooted_violation(d, u0, k, eta)), \
+            (d.tail, d.head, sorted(u0), k, eta)
         probes.append((eta, bool(found)))
         return found
     return both
