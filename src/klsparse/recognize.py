@@ -20,7 +20,8 @@ orientations and which u0 they probe:
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
-In both, a failed probe runs the full query once, for the certificate.
+In both, a failed probe runs the full query once, at the probe's eta, for
+the certificate.  Each driver returns its certificate or None.
 
 The mid-range locality lemma: the k forests hold every edge, and each at
 most |X| - 1 inside a nonempty X, so i(X) <= k|X| - k in the engine, whose
@@ -71,25 +72,13 @@ class RecognitionResult:
             raise ContractError("certificate present iff not sparse")
 
 
-def _superset_violation(d0: Orientation, u0: frozenset[int], k: int, l: int) -> set[int] | None:
-    """Violating strict superset of u0, via the rooted query on d0.
-
-    Assumes d0 is k-indegree-bounded and u0-source with t*k <= l <= (t+1)*k.
-    Returns the violating vertex set (u0 included) or None.
-    """
-    found = rooted_violation(d0, u0, k, l - len(u0) * k)
-    return found | u0 if found else None
-
-
-def _low(g: Graph, p: SparsityParams) -> RecognitionResult:
+def _low(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range l <= k: bounded orientation, then one rooted-connectivity query."""
     cert, d = bounded_orientation(g, p.k)
     if cert is not None:
-        return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
-    found = _superset_violation(d, frozenset(), p.k, p.l)
-    if found is not None:
-        return RecognitionResult(False, make_certificate(g, p, found))
-    return RecognitionResult(True, None)
+        return make_certificate(g, p, cert.vertices, cert.induced_edges)
+    found = rooted_violation(d, frozenset(), p.k, p.l)
+    return make_certificate(g, p, found) if found else None
 
 
 def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] | None:
@@ -119,13 +108,13 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     tags = count(n + 1)  # the tags of trees and the pieces they split into
 
     def piece(root: int) -> list[int]:
-        """Tag root's piece in side and parent; return it in breadth-first order."""
+        """Tag root's piece in side and parent, reset size and heavy; return it breadth first."""
         tag, order = next(tags), [root]
-        side[root], parent[root] = tag, -1
+        side[root], parent[root], size[root], heavy[root] = tag, -1, 1, 0
         for v in order:
             for w in tree[v]:
                 if w != parent[v] and side[w] >= 0:
-                    side[w], parent[w] = tag, v
+                    side[w], parent[w], size[w], heavy[w] = tag, v, 1, 0
                     order.append(w)
         return order
 
@@ -143,14 +132,13 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     found = None
     while stack:
         order, depth = stack.pop()
-        for v in order:
-            size[v], heavy[v] = 1, 0
-        for v in reversed(order):
+        total, c = len(order), n
+        for v in reversed(order):  # children first, so v's size and heavy are final
+            if v < c and 2 * max(heavy[v], total - size[v]) <= total:
+                c = v
             if parent[v] >= 0:
                 size[parent[v]] += size[v]
                 heavy[parent[v]] = max(heavy[parent[v]], size[v])
-        total = len(order)
-        c = min(v for v in order if 2 * max(heavy[v], total - size[v]) <= total)
         probes += 1
         deepest = max(deepest, depth)
         found = d.gather((c,), k, 0)
@@ -165,9 +153,10 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
         if rooted_search(d, (c,), k, eta, sinks):
             logger.debug("forest class %d fails at centroid %d, depth %d: a neighbour probe",
                          i, c, depth)
-            found = _superset_violation(d, frozenset((c,)), k, l)
-            if found is None:
+            found = rooted_violation(d, (c,), k, eta)
+            if not found:
                 raise ContractError(f"a neighbour of centroid {c} failed, the full query did not")
+            found.add(c)
             break
         for _, e in doomed:
             d.delete(e)
@@ -178,22 +167,22 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     return found
 
 
-def _mid(g: Graph, p: SparsityParams) -> RecognitionResult:
+def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range k < l < 2k: forest decomposition plus centroid decomposition."""
     cert, fd = _decompose(g, p.k)  # validate_input has ruled out loops
     if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
-        return RecognitionResult(False, make_certificate(g, p, cert.vertices, cert.induced_edges))
+        return make_certificate(g, p, cert.vertices, cert.induced_edges)
     d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
     for i in range(min(p.l - p.k, g.m)):  # the classes past the first m are empty
         found = _centroid_search(d.copy(), [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l)
         if found is not None:
-            return RecognitionResult(False, make_certificate(g, p, found))
-    return RecognitionResult(True, None)
+            return make_certificate(g, p, found)
+    return None
 
 
-def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
+def _high(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range 2k <= l < 3k: incremental insertion over a growing sparse subgraph.
 
     Edge uv is insertable iff the current subgraph has no set strictly
@@ -216,35 +205,34 @@ def _high(g: Graph, p: SparsityParams) -> RecognitionResult:
             logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",
                          e, u, v, eta, sinks.index(sink) + 1)
             del nbrs  # freed before the full query builds its own O(n + m) lists
-            found = _superset_violation(d, u0, p.k, p.l + 1)
-            if found is None:
+            found = rooted_violation(d, u0, p.k, eta)
+            if not found:
                 raise ContractError(f"neighbour sink {sink} failed, the full query did not")
-            return RecognitionResult(False, make_certificate(g, p, found))
+            return make_certificate(g, p, found | u0)
         d.add_edge(u, v)
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return RecognitionResult(True, None)
+    return None
 
 
 def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:
     """Decide (k,l)-sparsity for any 0 <= l < 3k, with a certificate on failure.
 
     Graphs with more than k*n edges are rejected immediately with the full
-    vertex set (vacuously sparse instead when the extended range has fewer
-    than three vertices).  Structural validation failures raise InputError.
+    vertex set (in the extended range, where graphs are simple, that takes
+    n >= 3).  Structural validation failures raise InputError.
     """
     p = SparsityParams(k, l)
     if (reason := validate_input(g, p)) is not None:  # once: the bodies below skip it
         raise InputError(reason)
     if g.m > p.k * g.n:
-        if p.t == 2 and g.n < 3:
-            return RecognitionResult(True, None)
         logger.debug("short-circuit: m=%d > k*n=%d", g.m, p.k * g.n)
-        return RecognitionResult(False, make_certificate(g, p, range(g.n), g.m))
-    result = (_low, _mid, _high)[p.t](g, p)
+        cert = make_certificate(g, p, range(g.n), g.m)
+    else:
+        cert = (_low, _mid, _high)[p.t](g, p)
     logger.debug("check_sparsity(k=%d, l=%d, n=%d, m=%d) -> sparse=%s",
-                 p.k, p.l, g.n, g.m, result.sparse)
-    return result
+                 p.k, p.l, g.n, g.m, cert is None)
+    return RecognitionResult(cert is None, cert)
 
 
 def certificate_json(p: SparsityParams, cert: Certificate) -> str:

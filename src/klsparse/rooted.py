@@ -38,15 +38,15 @@ of the returned set is guaranteed.
 ``rooted_violation`` is the checked query.  The drivers' probes call
 ``rooted_search``, which skips the input checks: each keeps every
 indegree at most k on its own engine, so no probe pays an O(n) pass.  The
-low range's one query, and the one full query after a failed probe, go
-through ``rooted_violation`` by way of ``recognize._superset_violation``,
-so its checks run at most once per recognition.  A driver that knows
-vertices every violating set must meet passes them to ``rooted_search``
-as the sinks: the extended-range driver the neighbours of u and v, the
-mid-range centroid search the neighbours of the centroid (the locality
-lemmas in ``recognize``).  Then the per-sink search runs at every eta,
-eta = 1 included, over those sinks alone, and returns the first one short
-of eta paths without the O(n + m) forward reach.
+low range's one query, and the one full query after a failed probe, call
+``rooted_violation`` at the driver's own eta, so its checks run at most
+once per recognition.  A driver that knows vertices every violating set
+must meet passes them to ``rooted_search`` as the sinks: the
+extended-range driver the neighbours of u and v, the mid-range centroid
+search the neighbours of the centroid (the locality lemmas in
+``recognize``).  Then the per-sink search runs at every eta, eta = 1
+included, over those sinks alone, and returns the first one short of eta
+paths without the O(n + m) forward reach.
 """
 from __future__ import annotations
 

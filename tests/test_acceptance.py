@@ -20,9 +20,9 @@ from klsparse import (
     generate,
     induced_edge_count,
     pebble_game_check,
+    rooted_violation,
     verify_certificate,
 )
-from klsparse.recognize import _superset_violation
 
 GRID = [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 4), (3, 5),
         (2, 4), (2, 5), (3, 6), (3, 8)]
@@ -148,7 +148,7 @@ def test_criterion_4_main_lemma_iff():
             if rooted_exists:
                 break
 
-        algorithmic = _superset_violation(d0, frozenset(u0), k, l) is not None
+        algorithmic = bool(rooted_violation(d0, frozenset(u0), k, l - len(u0) * k))
         total += 1
         if not (superset_exists == rooted_exists == algorithmic):
             failures += 1

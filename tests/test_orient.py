@@ -19,8 +19,7 @@ from klsparse import (
 )
 from klsparse.graph import SparsityParams, make_certificate
 from klsparse.orient import unreached
-from klsparse.recognize import _superset_violation
-from klsparse.rooted import rooted_search
+from klsparse.rooted import rooted_search, rooted_violation
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -92,7 +91,7 @@ def test_copy_after_delete():
     c.delete(1)  # the copy is independent
     assert d.indeg == [0, 0, 2] and d.inc == [[], [], [1, 2]]
     assert c.inc is not d.inc
-    assert _superset_violation(d, frozenset({0}), 2, 3) is None
+    assert rooted_violation(d, frozenset({0}), 2, 3 - 2) == set()
 
 
 def test_engine_record_is_pinned():

@@ -65,3 +65,36 @@ def test_appending_isolated_vertices_changes_nothing():
                     assert before.certificate == after.certificate, (spec, k, l)
                     compared += not before.sparse
     assert compared > 250, compared
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(instances(), st.data())
+def test_relabelling_and_edge_order_keep_the_verdict(case, data):
+    g, p = case
+    label = data.draw(st.permutations(range(g.n)))
+    order = data.draw(st.permutations(g.edges))
+    moved = Graph(g.n, tuple((label[u], label[v]) for u, v in order))
+    assert check_sparsity(moved, p.k, p.l).sparse == check_sparsity(g, p.k, p.l).sparse
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(instances(), st.integers(1, 3))
+def test_isolated_vertices_keep_the_verdict_and_certificate(case, extra):
+    g, p = case
+    padded = Graph(g.n + extra, g.edges)
+    before, after = check_sparsity(g, p.k, p.l), check_sparsity(padded, p.k, p.l)
+    assert before.sparse == after.sparse
+    if g.m <= p.k * g.n:  # the short-circuit's certificate is the whole vertex set
+        assert before.certificate == after.certificate
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(instances())
+def test_certificate_subgraph_is_not_sparse(case):
+    g, p = case
+    cert = check_sparsity(g, p.k, p.l).certificate
+    if cert is not None:
+        label = {v: i for i, v in enumerate(cert.sorted_vertices())}
+        sub = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges
+                                      if u in label and v in label))
+        assert not check_sparsity(sub, p.k, p.l).sparse

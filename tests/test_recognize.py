@@ -16,6 +16,7 @@ import pytest
 
 import klsparse
 from klsparse import (
+    Certificate,
     Graph,
     InputError,
     Orientation,
@@ -27,9 +28,10 @@ from klsparse import (
     forest_decomposition,
     induced_edge_count,
     make_certificate,
+    rooted_violation,
     verify_certificate,
 )
-from klsparse.recognize import _centroid_search, _superset_violation
+from klsparse.recognize import _centroid_search, _high, _low, _mid
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -126,6 +128,29 @@ def test_dispatch_and_short_circuit():
     res = check_sparsity(dense, 2, 1)
     assert not res.sparse
     assert res.certificate.vertices == frozenset({0, 1})
+    # Extended-range graphs are simple, so n <= 2 never reaches the
+    # short-circuit; the range counts only sets of three or more vertices.
+    for g in (Graph(0, ()), Graph(1, ()), Graph(2, ((0, 1),))):
+        assert check_sparsity(g, 1, 2).sparse
+
+
+def test_range_drivers_return_a_certificate_or_none():
+    # Each range body answers with its certificate or None; only
+    # check_sparsity builds a RecognitionResult.
+    path = Graph(3, ((0, 1), (1, 2)))
+    cases = ((_low, SparsityParams(1, 1), path, TRIANGLE),
+             (_mid, SparsityParams(2, 3), C4, K4),
+             (_high, SparsityParams(2, 4), C4, TRIANGLE))
+    for body, p, sparse, violated in cases:
+        assert body(sparse, p) is None
+        cert = body(violated, p)
+        assert isinstance(cert, Certificate) and verify_certificate(violated, p, cert)
+    with open(klsparse.recognize.__file__) as f:
+        tree = ast.parse(f.read())
+    builders = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "RecognitionResult"]
+    assert builders == ["check_sparsity"]
 
 
 def test_validation_errors_raise():
@@ -142,14 +167,16 @@ def test_validation_errors_raise():
 def test_superset_sparsity_figure_one():
     d0 = Orientation(Graph(8, FIG1_ARCS))
     assert d0.indeg[2] == 0 and max(d0.indeg) <= 2
-    found = _superset_violation(d0, frozenset({2}), 2, 3)
+    found = rooted_violation(d0, frozenset({2}), 2, 3 - 2)
+    assert found
+    found |= {2}
     assert found == {0, 1, 2, 3}
     assert induced_edge_count(FIG1, found) == 6 > 5 == 2 * len(found) - 3
 
 
 def test_superset_sparsity_single_vertex():
     d0 = Orientation(Graph(1, ()))
-    assert _superset_violation(d0, frozenset({0}), 2, 3) is None
+    assert rooted_violation(d0, frozenset({0}), 2, 3 - 2) == set()
 
 
 def test_superset_sparsity_k4():
@@ -159,7 +186,8 @@ def test_superset_sparsity_k4():
     assert cert0 is None
     d0 = d.copy()
     assert d0.gather((0,), 2, 0) is None
-    assert _superset_violation(d0, frozenset({0}), 2, 3) == set(range(4))
+    found = rooted_violation(d0, frozenset({0}), 2, 3 - 2)
+    assert found and found | {0} == set(range(4))
     assert _brute_violating_superset(K4, {0}, 2, 3)
 
 
@@ -463,7 +491,8 @@ def test_main_lemma_iff_small_sweep():
         g = Graph(n, tuple(edges))
         d0 = Orientation(g)
         exists = _brute_violating_superset(g, u0, k, l)
-        xs = _superset_violation(d0, frozenset(u0), k, l)
+        xs = rooted_violation(d0, frozenset(u0), k, l - len(u0) * k)
+        xs = xs | u0 if xs else None
         assert (xs is not None) == exists
         if xs is not None:
             assert xs > u0
@@ -490,7 +519,8 @@ def test_superset_certificate_is_the_same_for_every_orientation():
             for rev in itertools.product((False, True), repeat=g.m):
                 d = Orientation(g, list(rev))
                 if d.max_indegree() <= k and all(d.indeg[v] == 0 for v in u0):
-                    xs = _superset_violation(d, frozenset(u0), k, l)
+                    xs = rooted_violation(d, frozenset(u0), k, l - len(u0) * k)
+                    xs = xs | u0 if xs else None
                     answers.add(None if xs is None else frozenset(xs))
             assert len(answers) <= 1
             found += answers not in (set(), {None})
