@@ -5,8 +5,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from klsparse import (GenSpec, Graph, SparsityParams, brute_force_check, check_sparsity, generate,
-                      verify_certificate)
-from klsparse.oracles import GENERATOR_KINDS
+                      pebble_game_check, verify_certificate)
+from klsparse.oracles import GENERATOR_KINDS, _PebbleGame
 
 GRID = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 4), (3, 5), (2, 4), (2, 5), (3, 6), (3, 8))
 
@@ -43,6 +43,35 @@ def test_check_sparsity_matches_brute_force(case):
     if not result.sparse:
         assert verify_certificate(g, p, result.certificate)
 
+
+def test_near_tight_low_range_matches_the_pebble_game():
+    # Random pairs filtered through the pebble game leave a sparse multigraph
+    # close to tight, where the rooted query's searches and counting run;
+    # one more edge, anywhere in the order, often breaks it.  The golden
+    # inputs of this range stop at n = 12.
+    rng = random.Random(66)
+
+    def pair(n: int, first: int) -> tuple[int, int]:
+        u = rng.randrange(n)
+        return u, (u + rng.randrange(first, n)) % n
+
+    verdicts = []
+    for k, l in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
+        p, first = SparsityParams(k, l), 0 if l < k else 1  # loops only where l < k
+        for n in (30, 60, 150):
+            for _ in range(2):
+                game = _PebbleGame(n, k, l)
+                pairs = [pair(n, first) for _ in range(k * n + n)]
+                base = [e for e in pairs if game.try_insert(*e)]
+                plus = list(base)
+                plus.insert(rng.randint(0, len(base)), pair(n, first))
+                for edges in (base, plus):
+                    g = Graph(n, tuple(edges))
+                    result = check_sparsity(g, k, l)
+                    assert result.sparse == (pebble_game_check(g, p) is None), (k, l, edges)
+                    assert result.sparse or verify_certificate(g, p, result.certificate)
+                    verdicts.append(result.sparse)
+    assert 20 < sum(verdicts) < 40, sum(verdicts)
 
 
 def test_appending_isolated_vertices_changes_nothing():

@@ -419,6 +419,41 @@ def test_star_into_the_centre_scales(k):
     assert best[200_000] / best[100_000] <= 2.8
 
 
+def _pendant_doubled_path(n: int) -> Graph:
+    return Graph(n + 1, tuple((i, i + 1) for i in range(1, n) for _ in range(2)) + ((0, n),))
+
+
+def test_pendant_doubled_path_query_is_linear(monkeypatch):
+    # Vertices 1..n form a path with every edge doubled, and 0 hangs off n.
+    # The peel directs the path from n down to 1 and leaves n the only path
+    # vertex with spare indegree, so a search from each sink in id order
+    # would walk the path back to n: quadratic.  Counting arcs from the
+    # root side settles every vertex, from n down, with no search at all.
+    gathers = []
+    gather = Orientation.gather
+
+    def counted(d, *args, **kw):
+        gathers.append(args)
+        return gather(d, *args, **kw)
+
+    monkeypatch.setattr(Orientation, "gather", counted)
+    assert check_sparsity(_pendant_doubled_path(2_000), 2, 2).sparse
+    assert len(gathers) == 0
+    monkeypatch.undo()
+    paths = {n: _pendant_doubled_path(n) for n in (40_000, 80_000)}
+    best = dict.fromkeys(paths, float("inf"))
+    gc.disable()
+    try:
+        for _ in range(3):  # interleaved, as for the stars above
+            for n, g in paths.items():
+                start = time.perf_counter()
+                assert check_sparsity(g, 2, 2).sparse
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[80_000] / best[40_000] <= 2.8
+
+
 def test_descending_path_forest_check_is_linear():
     # Every vertex but the last has indegree 1 at (1,1), so a search per
     # sink would walk back to the last vertex from each one: n^2/2 steps.

@@ -172,6 +172,18 @@ def test_same_set_as_global_search():
                   (2, 5, 1), (5, 6, 1), (6, 1, 1)]
     d = (7, cancelling, 0)
     assert _query(d, 2) == _reference_violation(d, 2) == {2, 5, 6}
+    # Counting puts vertices above 1 on the root side before any search
+    # (5, 6, 3; 6, 5, 4; 5, 4), and sink 1 fails anyway: the answer is still
+    # its maximal minimum cut.  In the last, 3 fails too, and only 3 has an
+    # arc from the root side.
+    counted = [((7, [(0, 5, 2), (5, 6, 2), (6, 3, 1), (5, 3, 1), (3, 1, 1), (1, 2, 2),
+                     (2, 1, 1), (6, 4, 1), (2, 4, 1)], 0), 2, {1, 2}),
+               ((7, [(0, 6, 3), (6, 5, 2), (0, 5, 1), (5, 4, 3), (4, 1, 1), (6, 2, 1),
+                     (1, 2, 1), (2, 1, 2), (1, 3, 2), (3, 2, 1)], 0), 3, {1, 2, 3}),
+               ((6, [(0, 5, 2), (5, 4, 2), (4, 3, 1), (4, 2, 1), (1, 2, 1), (2, 1, 1)], 0),
+                2, {1, 2})]
+    for d, eta, expected in counted:
+        assert _query(d, eta) == _reference_violation(d, eta) == expected
     rng = random.Random(62)
     for _ in range(5000):
         n = rng.randint(1, 9)
