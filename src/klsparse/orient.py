@@ -230,35 +230,8 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     if kappa < 1:
         raise ParameterError(f"kappa must be at least 1, got {kappa}")
     n, edges = g.n, g.edges
-    inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex, a loop once
-    for e, (u, v) in enumerate(edges):
-        inc[u].append(e)
-        if u != v:
-            inc[v].append(e)
-    undirected = list(map(len, inc))  # 0 once peeled
-    peeled = n - undirected.count(0)  # the vertices with an edge, less the core below
-    # compress skips the isolated vertices without a Python step each
-    stack = [v for v in compress(range(n), undirected) if undirected[v] <= kappa]
-    # Every edge is directed below, by the graph's own endpoint objects: w
-    # would be a new int object per edge.
-    tail, head = [0] * g.m, [0] * g.m
-    while stack:  # each vertex joins once, at its first count within kappa
-        v = stack.pop()
-        ins = []
-        for e in inc[v]:
-            a, b = edges[e]
-            w = a ^ b ^ v  # the other end; v itself for a loop
-            if undirected[w]:  # w not peeled yet, so e goes into v
-                ins.append(e)
-                if b != v:
-                    a, b = b, a
-                tail[e], head[e] = a, b
-                undirected[w] -= 1
-                if undirected[w] == kappa:
-                    stack.append(w)
-        inc[v], undirected[v] = ins, 0
+    tail, head, inc, undirected, peeled = peel(g, kappa)
     core = list(compress(range(n), undirected))
-    peeled -= len(core)
     for v in core:
         inc[v] = []
     for e, (u, v) in enumerate(edges):
@@ -290,6 +263,45 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     if d.max_indegree() > kappa:
         raise ContractError("gathers left an indegree above kappa")
     return None, d
+
+
+def peel(g: Graph, kappa: int) -> tuple[list[int], list[int], list[list[int]], list[int], int]:
+    """The peel of ``bounded_orientation``: every vertex outside the (kappa+1)-core.
+
+    Returns ``(tail, head, inc, undirected, peeled)``: the peeled edges'
+    arcs (0 at the core's edges), each peeled vertex's in-edges in id order
+    and each core vertex's edges, each vertex's count of edges still
+    undirected (0 once peeled or isolated) and the number peeled.
+    """
+    n, edges = g.n, g.edges
+    inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex, a loop once
+    for e, (u, v) in enumerate(edges):
+        inc[u].append(e)
+        if u != v:
+            inc[v].append(e)
+    undirected = list(map(len, inc))  # 0 once peeled
+    isolated = undirected.count(0)
+    # compress skips the isolated vertices without a Python step each
+    stack = [v for v in compress(range(n), undirected) if undirected[v] <= kappa]
+    # Each edge is directed by the graph's own endpoint objects: w would be
+    # a new int object per edge.
+    tail, head = [0] * g.m, [0] * g.m
+    while stack:  # each vertex joins once, at its first count within kappa
+        v = stack.pop()
+        ins = []
+        for e in inc[v]:
+            a, b = edges[e]
+            w = a ^ b ^ v  # the other end; v itself for a loop
+            if undirected[w]:  # w not peeled yet, so e goes into v
+                ins.append(e)
+                if b != v:
+                    a, b = b, a
+                tail[e], head[e] = a, b
+                undirected[w] -= 1
+                if undirected[w] == kappa:
+                    stack.append(w)
+        inc[v], undirected[v] = ins, 0
+    return tail, head, inc, undirected, undirected.count(0) - isolated
 
 
 def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> set[int]:

@@ -38,6 +38,15 @@ fewer than eta of them means i(X) >= k|X| - l + 2k, which breaks sparsity
 when |X| >= 3 and simplicity when |X| <= 2 (3k - l >= 1, 4k - l >= 2).  So
 every such X holds a neighbour of u or v, and the probe fails iff some
 neighbour has fewer than eta arc-disjoint paths from the root.
+
+The core lemma: a violating X minimal by inclusion, with |X| >= 4 in this
+range, keeps i(X - v) <= k|X| - k - l for each v in X, so v has k + 1
+edges in X, and X lies in the (k+1)-core.  Outside it only a 3-set can
+violate: a triangle at l = 3k - 2, two edges at a vertex at l = 3k - 1.
+Every violating set of the accepted prefix plus uv holds u and v, so uv is
+probed only if both ends lie in G's core or uv closes such a 3-set.  A
+skipped probe would pass, and probes revert the engine, so the first
+failing edge and its certificate stay the same.
 """
 from __future__ import annotations
 
@@ -56,7 +65,7 @@ from .graph import (
     make_certificate,
     validate_input,
 )
-from .orient import Orientation, bounded_orientation
+from .orient import Orientation, bounded_orientation, peel
 from .rooted import rooted_search, rooted_violation
 
 logger = logging.getLogger(__name__)
@@ -182,6 +191,22 @@ def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
     return None
 
 
+def _has_triangle(tail: list[int], inc: list[list[int]]) -> bool:
+    """Whether a fully peeled simple graph has a triangle, given the peel's in-lists.
+
+    A triangle's first peeled vertex has its two edges as in-edges, and the
+    third edge is an in-edge of one of the other two ends.
+    """
+    for ins in inc:
+        if len(ins) > 1:
+            ends = [tail[e] for e in ins]
+            for a in ends:
+                for f in inc[a]:
+                    if tail[f] in ends:
+                        return True
+    return False
+
+
 def _high(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range 2k <= l < 3k: incremental insertion over a growing sparse subgraph.
 
@@ -189,30 +214,50 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
     containing {u, v} violating (k, l+1)-sparsity; a found set certifies
     that the input graph violates (k, l).  By the locality lemma above the
     probe searches only the neighbours of u and v; the full query runs
-    once, after a failed probe, for the certificate.
+    once, after a failed probe, for the certificate.  By the core lemma
+    above, an empty (k+1)-core with no violating 3-set answers sparse with
+    no insertion.
     """
+    k, l = p.k, p.l
+    tail, head, inc, core, peeled = peel(g, k)  # core[v] > 0 iff v lies in the (k+1)-core
+    small = l - 3 * k + 3  # 1: a triangle violates, 2: a 2-path does, below 1: no 3-set
+    if not any(core) and (small < 1 or small == 1 and not _has_triangle(tail, inc)
+                          or small == 2 and 2 * g.m == peeled):  # a matching
+        logger.debug("sparse by the core: %d vertices peeled, no violating 3-set", peeled)
+        return None
+    del tail, head, inc  # freed before the engine is built: only the core flags are kept
     d = Orientation._from_lists(g.n, [], [])  # each edge enters a gathered source: indeg <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
-    eta = p.l + 1 - 2 * p.k
+    eta = l + 1 - 2 * k
+    skipped = 0
+    failed = None
     for e, (u, v) in enumerate(g.edges):
-        if d.gather((u, v), p.k, 0) is not None:
+        if d.gather((u, v), k, 0) is not None:
             raise ContractError("accepted subgraph lost (k,2k)-sparsity")
-        u0 = frozenset((u, v))
-        sinks = sorted({*nbrs[u], *nbrs[v]})
-        failed = rooted_search(d, u0, p.k, eta, sinks)
-        if failed:
-            (sink,) = failed
-            logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",
-                         e, u, v, eta, sinks.index(sink) + 1)
-            del nbrs  # freed before the full query builds its own O(n + m) lists
-            found = rooted_violation(d, u0, p.k, eta)
-            if not found:
-                raise ContractError(f"neighbour sink {sink} failed, the full query did not")
-            return make_certificate(g, p, found | u0)
+        if (core[u] and core[v]
+                or small == 1 and nbrs[u] and nbrs[v] and not set(nbrs[u]).isdisjoint(nbrs[v])
+                or small == 2 and (nbrs[u] or nbrs[v])):
+            u0 = frozenset((u, v))
+            sinks = sorted({*nbrs[u], *nbrs[v]})
+            if failed := rooted_search(d, u0, k, eta, sinks):
+                break
+        else:
+            skipped += 1  # the probe would pass: no violating set holds uv
         d.add_edge(u, v)
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return None
+    logger.debug("insertion probes skipped: %d, with an end outside the (k+1)-core of %d "
+                 "vertices and in no violating 3-set", skipped, len(core) - core.count(0))
+    if not failed:
+        return None
+    (sink,) = failed
+    logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",
+                 e, u, v, eta, sinks.index(sink) + 1)
+    del nbrs, core  # freed before the full query builds its own O(n + m) lists
+    found = rooted_violation(d, u0, k, eta)
+    if not found:
+        raise ContractError(f"neighbour sink {sink} failed, the full query did not")
+    return make_certificate(g, p, found | u0)
 
 
 def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:

@@ -1,26 +1,32 @@
 """Property tests: the recognizer against exhaustive enumeration, and against
 itself under input changes that cannot change the answer."""
 import random
+from collections import Counter
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from klsparse import (GenSpec, Graph, SparsityParams, brute_force_check, check_sparsity, generate,
                       pebble_game_check, verify_certificate)
 from klsparse.oracles import GENERATOR_KINDS, _PebbleGame
+from klsparse.orient import peel
 
 GRID = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 4), (3, 5), (2, 4), (2, 5), (3, 6), (3, 8))
 
 
 @st.composite
-def instances(draw):
-    """A graph and parameters of any range, with every edge kind the range allows.
+def instances(draw, p: SparsityParams | None = None):
+    """A graph and parameters of any range (or p), with every edge kind the range allows.
 
     Loops and parallel edges for l <= k, parallel edges for k < l < 2k,
     simple graphs for 2k <= l < 3k; up to k*n + 2 edges, so some graphs are
     short-circuited and most small ones are disconnected.
     """
-    k = draw(st.integers(1, 3))
-    p = SparsityParams(k, draw(st.integers(0, 3 * k - 1)))
+    if p is None:
+        k = draw(st.integers(1, 3))
+        p = SparsityParams(k, draw(st.integers(0, 3 * k - 1)))
+    k = p.k
     n = draw(st.integers(0, 7))
     if n == 0 or (n == 1 and p.t > 0):
         return Graph(n, ()), p
@@ -42,6 +48,47 @@ def test_check_sparsity_matches_brute_force(case):
     assert result.sparse == (brute_force_check(g, p) is None)
     if not result.sparse:
         assert verify_certificate(g, p, result.certificate)
+
+
+def _small_set_violates(g: Graph, p: SparsityParams) -> bool:
+    """Whether one of the sets the core lemma leaves out violates, by range."""
+    count = Counter(frozenset(e) for e in g.edges)
+    if p.t == 0:  # a vertex with more than k - l loops
+        return any(len(pair) == 1 and c > p.k - p.l for pair, c in count.items())
+    if p.t == 1:  # a pair joined by more than 2k - l parallel edges
+        return any(c > 2 * p.k - p.l for c in count.values())
+    if p.l == 3 * p.k - 2:  # a triangle
+        return any(all(frozenset(pair) in count for pair in combinations(trio, 2))
+                   for trio in combinations(range(g.n), 3))
+    if p.l == 3 * p.k - 1:  # two edges at one vertex
+        return max(Counter(v for e in g.edges for v in e).values(), default=0) > 1
+    return False  # a simple 3-set holds at most 3 <= 3k - l edges
+
+
+@pytest.mark.parametrize("p", [SparsityParams(k, l) for k in (1, 2, 3) for l in range(3 * k)],
+                         ids=lambda p: f"{p.k}-{p.l}")
+def test_sparse_iff_no_small_set_violates_and_the_core_is_sparse(p):
+    # A minimal violating set of |X| >= 2 (l <= k), >= 3 (k < l < 2k) or
+    # >= 4 (2k <= l < 3k) loses a set whose bound is not clamped when any
+    # vertex v leaves, so v has k + 1 edges in X: X lies in the (k+1)-core.
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(instances(p))
+    def check(case):
+        g, _ = case
+        graphs = [g]
+        if p.t == 2:  # and the complement, whose (k+1)-core is seldom empty
+            pairs = {frozenset(e) for e in g.edges}
+            graphs.append(Graph(g.n, tuple(e for e in combinations(range(g.n), 2)
+                                           if frozenset(e) not in pairs)))
+        for g in graphs:
+            core = peel(g, p.k)[3]
+            kept = tuple((u, v) for u, v in g.edges if core[u] and core[v])
+            for v in range(g.n):  # each core vertex keeps k + 1 edges in the core, a loop once
+                assert core[v] == sum(v in e for e in kept) and (core[v] == 0 or core[v] > p.k)
+            claim = not _small_set_violates(g, p) and brute_force_check(Graph(g.n, kept), p) is None
+            assert claim == (brute_force_check(g, p) is None)
+
+    check()
 
 
 def test_near_tight_low_range_matches_the_pebble_game():

@@ -31,6 +31,7 @@ from klsparse import (
     rooted_violation,
     verify_certificate,
 )
+from klsparse.oracles import _PebbleGame
 from klsparse.recognize import _centroid_search, _high, _low, _mid
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -120,6 +121,82 @@ def test_failed_insertion_probe_is_logged(caplog):
         res = check_sparsity(g, 2, 4)
     assert res.certificate.vertices == frozenset({0, 2, 4})
     assert "insertion of edge 3 (0, 2) failed at eta=1 after 2 sinks" in caplog.text
+
+
+def test_extended_range_boundary_cases(caplog):
+    # Outside the (k+1)-core only a 3-set can violate: a triangle at
+    # l = 3k - 2, two edges at one vertex at l = 3k - 1, none below.
+    path = Graph(3, ((0, 1), (1, 2)))
+    for g, k, l in ((TRIANGLE, 2, 4), (TRIANGLE, 3, 7), (path, 2, 5), (path, 3, 8)):
+        cert = check_sparsity(g, k, l).certificate
+        assert (cert.vertices, cert.induced_edges) == (frozenset({0, 1, 2}), g.m)
+    matching = Graph(6, ((0, 1), (2, 3), (4, 5)))
+    for g, k, l, peeled in ((TRIANGLE, 3, 6, 3), (matching, 2, 5, 6), (Graph(0, ()), 2, 4, 0),
+                            (Graph(5, ()), 3, 7, 0)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+            res = check_sparsity(g, k, l)
+        assert res.sparse and res.certificate is None
+        assert f"sparse by the core: {peeled} vertices peeled, no violating 3-set" in caplog.text
+        assert "insertion" not in caplog.text
+
+
+def test_insertion_probes_only_edges_a_violating_set_can_hold(caplog):
+    # The cube is (2,4)-tight and is the 3-core; the edge to the pendant
+    # vertex 8 has an end outside it and closes no triangle, so its probe
+    # is skipped.
+    cube = tuple((v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit)
+    g = Graph(9, cube[:6] + ((0, 8),) + cube[6:])
+    with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+        assert check_sparsity(g, 2, 4).sparse
+    assert ("insertion probes skipped: 1, with an end outside the (k+1)-core of 8 vertices "
+            "and in no violating 3-set") in caplog.text
+
+
+def _near_tight_extended(rng: random.Random, n: int, k: int, l: int) -> Graph:
+    """Random pairs filtered through the pebble game, plus one more new pair anywhere."""
+    game, edges = _PebbleGame(n, k, l), []
+    for _ in range(k * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges and game.try_insert(u, v):
+            edges.append((u, v))
+    u, v = sorted(rng.sample(range(n), 2))
+    if (u, v) not in edges:
+        edges.insert(rng.randint(0, len(edges)), (u, v))
+    return Graph(n, tuple(edges))
+
+
+def test_failed_insertion_is_the_first_violating_prefix(caplog):
+    # A skipped probe would have passed, and probes revert the engine, so
+    # the first failing edge is the first prefix that is not sparse.
+    rng = random.Random(26)
+    failures = 0
+    for k, l in ((1, 2), (2, 4), (2, 5), (3, 6), (3, 7), (3, 8)):
+        p = SparsityParams(k, l)
+        for seed in range(1, 5):
+            n = rng.randint(7, 14)
+            for g in (klsparse.generate(klsparse.GenSpec("planted-violation", n, k, l, seed)),
+                      _near_tight_extended(rng, n, k, l)):
+                if g.m > k * n:
+                    continue
+                lo, hi = 0, g.m  # the first violating prefix is edges[:hi], hi = m + 1 if none
+                if brute_force_check(g, p) is None:
+                    lo = hi = g.m + 1
+                while lo + 1 < hi:
+                    mid = (lo + hi) // 2
+                    if brute_force_check(Graph(n, g.edges[:mid]), p) is None:
+                        lo = mid
+                    else:
+                        hi = mid
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+                    assert check_sparsity(g, k, l).sparse == (hi > g.m)
+                failed = re.findall(r"insertion of edge (\d+) ", caplog.text)
+                assert failed == ([] if hi > g.m else [str(hi - 1)]), (k, l, g)
+                failures += hi <= g.m
+    assert failures > 20, failures
+
+
 def test_dispatch_and_short_circuit():
     assert check_sparsity(K4, 2, 2).sparse
     assert check_sparsity(Graph(5, ()), 3, 7).sparse
@@ -413,6 +490,47 @@ def test_star_into_the_centre_scales(k):
             for n, g in stars.items():
                 start = time.perf_counter()
                 assert check_sparsity(g, k, k).sparse
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[200_000] / best[100_000] <= 2.8
+
+
+def _degenerate(n: int, seed: int) -> Graph:
+    """A triangle, then each vertex joined to its two predecessors and one earlier vertex.
+
+    The graph is simple and 3-degenerate, so (3,6)-sparse with an empty
+    4-core: no 3-set has more than 3 edges.
+    """
+    rng = random.Random(seed)
+    edges = [(0, 1), (0, 2), (1, 2)]
+    edges += [(w, v) for v in range(3, n) for w in (v - 1, v - 2, rng.randrange(v - 2))]
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+def test_degenerate_extended_graph_needs_no_search(monkeypatch):
+    import klsparse.recognize as recognize
+    calls = []
+    monkeypatch.setattr(recognize, "rooted_search", lambda *args: calls.append(args))
+    monkeypatch.setattr(Orientation, "gather", lambda *args, **kw: calls.append(args))
+    assert check_sparsity(_degenerate(2_000, 1), 3, 6).sparse
+    assert check_sparsity(Graph(10**6, ((0, 1),)), 3, 6).sparse
+    assert calls == []
+
+
+def test_degenerate_extended_graph_scales():
+    # The peel answers alone, in O(n + m).  Copies of this loop read
+    # 1.87-2.42; a quadratic check reads 4, and the pebble-game oracle
+    # doubles at 5.3 on (3,7) planted rows.
+    graphs = {n: _degenerate(n, 1) for n in (100_000, 200_000)}
+    best = dict.fromkeys(graphs, float("inf"))
+    gc.disable()
+    try:
+        for _ in range(3):
+            for n, g in graphs.items():
+                start = time.perf_counter()
+                assert check_sparsity(g, 3, 6).sparse
                 best[n] = min(best[n], time.perf_counter() - start)
     finally:
         gc.enable()

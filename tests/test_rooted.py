@@ -280,7 +280,7 @@ def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
     probes = []  # (eta, failed) per probe
     monkeypatch.setattr(recognize, "rooted_search", _checked_against_full_query(probes))
     rng = random.Random(64)
-    for _ in range(600):
+    for _ in range(2400):  # most edges go unprobed: an end lies outside the (k+1)-core
         k = rng.randint(1, 3)
         l = rng.randint(2 * k, 3 * k - 1)
         n = rng.randint(3, 12)
