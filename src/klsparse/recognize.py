@@ -17,6 +17,7 @@ orientations and which u0 they probe:
   one engine: gather each centroid c to a source, probe u0 = {c} with
   eta = l - k at c's neighbours only, then delete c's edges and those
   between the pieces c leaves, so each piece keeps only its own edges.
+  A piece with no vertex left in the engine's (k+1)-core is skipped.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
@@ -47,13 +48,34 @@ Every violating set of the accepted prefix plus uv holds u and v, so uv is
 probed only if both ends lie in G's core or uv closes such a 3-set.  A
 skipped probe would pass, and probes revert the engine, so the first
 failing edge and its certificate stay the same.
+
+The piece-skip lemma, in the mid range: a minimal violating X with
+|X| >= 3 has k + 1 edges at each vertex, by the same count (X - v's bound
+k|X| - k - l is not clamped), so it lies in the (k+1)-core.  With no
+loops, only a pair joined by more than 2k - l parallel edges is left out;
+one O(m) pass per graph looks for one, and finding one turns the skip off.
+Without one, an empty core of G answers sparse with no class search.
+Otherwise each class search keeps the (k+1)-core of its live engine as its
+deletions shrink it, and skips a piece P, with its whole subtree, once no
+vertex of P is left in the core.  Once its crossing edges are deleted, P
+is a component of the engine, so its core is the engine's core on P: empty,
+and P holds no violating set, now or after any later deletion.  So no
+probe in P's subtree fails.  The other pieces' gathers and probes stay in
+their own components and see the same edges as without the skip, so the
+first failing probe is the same.  P's edges are never deleted, but they do
+not change the full query's answer either: P is disconnected from the
+rest, and each nonempty X in P has k|X| - i(X) >= min(k|X|, l) >= k
+> eta = l - k entering arcs, so no set with fewer than eta meets P.  The
+first failure and its certificate stay the same.
 """
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
+from math import inf
 
 from .forests import _decompose
 from .graph import (
@@ -90,7 +112,24 @@ def _low(g: Graph, p: SparsityParams) -> Certificate | None:
     return make_certificate(g, p, found) if found else None
 
 
-def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] | None:
+def _mid_core(g: Graph, k: int, l: int) -> tuple[list, list[list[int]], int]:
+    """G's (k+1)-core for the centroid search: the peel's counts, edge lists and vertices peeled.
+
+    Each core vertex counts its edges into the core and lists every edge at
+    it; a peeled vertex counts 0.  A pair joined by more than 2k - l
+    parallel edges violates outside the core, so then every vertex counts
+    as in it, with an infinite count that no deletion lowers to k, and
+    nothing is peeled.
+    """
+    pairs = Counter((u, v) if u < v else (v, u) for u, v in g.edges)
+    if max(pairs.values(), default=0) > 2 * k - l:
+        return [inf] * g.n, [], 0
+    _, _, adj, core, peeled = peel(g, k)
+    return core, adj, peeled
+
+
+def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
+                     core: list, adj: list[list[int]]) -> set[int] | None:
     """Centroid decomposition of forest class i, the forest of endpoint pairs, on d in place.
 
     Edges joining two trees of the class are deleted first.  Then each tree,
@@ -106,8 +145,15 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
     Inside ``check_sparsity`` the gather cannot stall: every edge lies in one
     of k forests, so the graph is (k,k)-sparse.  Only a direct call on an
     orientation that is not (k,k)-sparse reaches that branch.
+
+    ``core`` and ``adj`` are ``_mid_core``'s for d's edges.  The counts are
+    copied and kept as the (k+1)-core of the live engine: a deletion lowers
+    both ends' counts, and a vertex whose count drops to k leaves the core,
+    lowering its neighbours' in turn.  A tree or piece with no vertex left in
+    the core is skipped, with its whole subtree (the piece-skip lemma above).
     """
-    n, tails, inc, eta = d.n, d.tail, d.inc, l - k
+    n, tails, heads, inc, indeg, eta = d.n, d.tail, d.head, d.inc, d.indeg, l - k
+    live = list(core)  # each vertex's live edges into the live core, 0 once outside it
     tree: list[list[int]] = [[] for _ in range(n)]  # the class's neighbours of each vertex
     for u, v in pairs:
         tree[u].append(v)
@@ -131,23 +177,61 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
         """(head, edge) for the edges into heads whose tail lies in another piece."""
         return [(h, e) for h in heads for e in inc[h] if side[tails[e]] != side[h]]
 
+    def delete(doomed) -> int:
+        """Delete the doomed edges; return how many.
+
+        A deleted edge between two core vertices lowers both counts, and each
+        vertex that so drops to k leaves the core, lowering its neighbours'.
+        """
+        for b, e in doomed:
+            a = tails[e]
+            d.delete(e)
+            if live[a] and live[b]:
+                out = []
+                for w in (a, b):
+                    live[w] -= 1
+                    if live[w] == k:
+                        live[w] = 0
+                        out.append(w)
+                while out:
+                    w = out.pop()
+                    for f in adj[w]:
+                        if heads[f] >= 0 and live[x := tails[f] ^ heads[f] ^ w]:
+                            live[x] -= 1
+                            if live[x] == k:
+                                live[x] = 0
+                                out.append(x)
+        return len(doomed)
+
+    stack: list[tuple[list[int], int]] = []
+    skipped = kept = 0
+
+    def push(parts, depth: int) -> None:
+        """Stack the parts, last first, but for those with no vertex left in the core."""
+        nonlocal skipped, kept
+        for part in reversed(parts):
+            if any(map(live.__getitem__, part)):
+                stack.append((part, depth))
+            else:
+                skipped += 1
+                kept += sum(map(indeg.__getitem__, part))
+
     trees = [piece(v) for v in range(n) if tree[v] and side[v] <= n]  # v's tree not yet tagged
-    stack = [(order, 0) for order in reversed(trees)]
-    doomed = crossing(range(n))
-    for _, e in doomed:
-        d.delete(e)
-    deleted = len(doomed)
+    deleted = delete(crossing(range(n)))
+    push(trees, 0)
     probes = deepest = 0
     found = None
     while stack:
         order, depth = stack.pop()
         total, c = len(order), n
         for v in reversed(order):  # children first, so v's size and heavy are final
-            if v < c and 2 * max(heavy[v], total - size[v]) <= total:
+            s = size[v]
+            if v < c and 2 * heavy[v] <= total <= 2 * s:
                 c = v
-            if parent[v] >= 0:
-                size[parent[v]] += size[v]
-                heavy[parent[v]] = max(heavy[parent[v]], size[v])
+            if (u := parent[v]) >= 0:
+                size[u] += s
+                if s > heavy[u]:
+                    heavy[u] = s
         probes += 1
         deepest = max(deepest, depth)
         found = d.gather((c,), k, 0)
@@ -167,25 +251,34 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int) -> set[int] 
                 raise ContractError(f"a neighbour of centroid {c} failed, the full query did not")
             found.add(c)
             break
-        for _, e in doomed:
-            d.delete(e)
-        deleted += len(doomed)
-        stack += [(part, depth + 1) for part in reversed(pieces) if len(part) > 1]
-    logger.debug("forest class %d: %d centroid probes, %d edges deleted, deepest depth %d",
-                 i, probes, deleted, deepest)
+        deleted += delete(doomed)
+        push([part for part in pieces if len(part) > 1], depth + 1)
+    logger.debug("forest class %d: %d centroid probes, %d edges deleted, deepest depth %d, "
+                 "%d pieces skipped holding %d edges", i, probes, deleted, deepest, skipped, kept)
     return found
 
 
 def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
-    """Range k < l < 2k: forest decomposition plus centroid decomposition."""
+    """Range k < l < 2k: forest decomposition plus centroid decomposition.
+
+    By the core lemma, an empty (k+1)-core with no pair of more than 2k - l
+    parallel edges answers sparse with no class search.
+    """
     cert, fd = _decompose(g, p.k)  # validate_input has ruled out loops
     if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
         return make_certificate(g, p, cert.vertices, cert.induced_edges)
     d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
-    for i in range(min(p.l - p.k, g.m)):  # the classes past the first m are empty
-        found = _centroid_search(d.copy(), [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l)
+    core, adj, peeled = _mid_core(g, p.k, p.l)
+    if not any(core):
+        logger.debug("sparse by the core: %d vertices peeled, no pair with more than %d "
+                     "parallel edges", peeled, 2 * p.k - p.l)
+        return None
+    last = min(p.l - p.k, g.m) - 1  # the classes past the first m are empty
+    for i in range(last + 1):  # the last class runs on d itself: nothing reads it afterwards
+        found = _centroid_search(d if i == last else d.copy(),
+                                 [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l, core, adj)
         if found is not None:
             return make_certificate(g, p, found)
     return None

@@ -174,3 +174,43 @@ def test_certificate_subgraph_is_not_sparse(case):
         sub = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges
                                       if u in label and v in label))
         assert not check_sparsity(sub, p.k, p.l).sparse
+
+
+def _grid_instances():
+    """``instances`` with (k,l) drawn from the golden grid, so each range gets its share."""
+    return st.sampled_from(GRID).flatmap(lambda kl: instances(SparsityParams(*kl)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_grid_instances(), st.data())
+def test_an_added_edge_keeps_a_violation_and_a_deleted_one_keeps_sparsity(case, data):
+    g, p = case
+    if g.n < 2 - (p.t == 0):  # a loop needs one vertex, any other edge two
+        return
+    if check_sparsity(g, p.k, p.l).sparse:
+        if g.edges:
+            e = data.draw(st.integers(0, g.m - 1))
+            assert check_sparsity(Graph(g.n, g.edges[:e] + g.edges[e + 1:]), p.k, p.l).sparse
+        return
+    # an edge the range allows: a loop only for l <= k, no second copy for 2k <= l < 3k
+    taken = {frozenset(e) for e in g.edges} if p.t == 2 else set()
+    allowed = [(u, v) for u in range(g.n) for v in range(u + (p.t > 0), g.n)
+               if frozenset((u, v)) not in taken]
+    if allowed:
+        u, v = data.draw(st.sampled_from(allowed))
+        e = data.draw(st.integers(0, g.m))
+        plus = Graph(g.n, g.edges[:e] + ((u, v),) + g.edges[e:])
+        assert not check_sparsity(plus, p.k, p.l).sparse
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_grid_instances(), st.data())
+def test_a_disjoint_union_is_sparse_iff_each_part_is(case, data):
+    # A set of the union splits into a set of each part, and the induced
+    # edges add up; in the extended range a part of one or two vertices
+    # holds at most one edge, which the union's larger bound absorbs.
+    g, p = case
+    h, _ = data.draw(instances(p))
+    union = Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+    parts = check_sparsity(g, p.k, p.l).sparse and check_sparsity(h, p.k, p.l).sparse
+    assert check_sparsity(union, p.k, p.l).sparse == parts

@@ -32,7 +32,8 @@ from klsparse import (
     verify_certificate,
 )
 from klsparse.oracles import _PebbleGame
-from klsparse.recognize import _centroid_search, _high, _low, _mid
+from klsparse.recognize import _centroid_search, _high, _low, _mid, _mid_core
+from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
@@ -65,6 +66,12 @@ def _brute_violating_superset(g: Graph, u0: set[int], k: int, l: int) -> bool:
             if induced_edge_count(g, xs) > k * len(xs) - l:
                 return True
     return False
+
+
+def _search(g: Graph, d: Orientation, tree, k: int, l: int) -> set[int] | None:
+    """``_centroid_search`` of class 0 on d, an orientation of g, with g's core as ``_mid`` gives it."""
+    core, adj, _ = _mid_core(g, k, l)
+    return _centroid_search(d, tree, 0, k, l, core, adj)
 
 
 def test_low_range_cycle_not_sparse():
@@ -369,36 +376,61 @@ def test_one_edge_low_range_is_sparse():
 
 
 def test_mid_range_skips_one_vertex_components(monkeypatch):
-    # Without loops a single vertex never violates for k < l < 2k, so only
-    # the edge's own component is searched, not each isolated vertex.
+    # Without loops a single vertex never violates for k < l < 2k, and the
+    # one edge leaves the 3-core empty, so no class is searched at all.
     import klsparse.recognize as recognize
     calls = []
     real = recognize.rooted_search
     monkeypatch.setattr(recognize, "rooted_search",
                         lambda *args: calls.append(args) or real(*args))
     assert check_sparsity(Graph(1000, ((0, 1),)), 2, 3).sparse
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def _near_tight(n: int, k: int, l: int, seed) -> list[tuple[int, int]]:
+    """Random pairs kept by the (k,l)-pebble game: a sparse graph close to tight.
+
+    The pairs may repeat, so the graph may hold parallel edges.
+    """
+    rng = random.Random(seed)
+    game = _PebbleGame(n, k, l)
+    pairs = (tuple(rng.sample(range(n), 2)) for _ in range(k * n))
+    return [e for e in pairs if game.try_insert(*e)]
 
 
 def test_centroid_search_deletes_each_edge_once(caplog, monkeypatch):
-    # Each class runs on a fresh engine, and an edge leaves it when it joins
+    # Each class runs on its own engine, and an edge leaves it when it joins
     # two trees, touches the centroid or crosses between the new pieces, so
-    # on a sparse graph every edge leaves each class's engine exactly once.
+    # on a sparse graph no edge leaves an engine twice.  A piece left with no
+    # vertex in the live (k+1)-core is skipped whole, its edges kept, so each
+    # class deletes or keeps every edge.  A Henneberg graph is 2-degenerate,
+    # so its 3-core and 4-core are empty, and no class is searched.
     deleted = []
     real = Orientation.delete
     monkeypatch.setattr(Orientation, "delete", lambda d, e: deleted.append((d, e)) or real(d, e))
-    g = klsparse.generate(klsparse.GenSpec("tight-henneberg", 300, 2, 3, 1))
-    for k, l in ((2, 3), (3, 4), (3, 5)):  # (2,3)-sparse implies the other two
-        caplog.clear()
-        deleted.clear()
-        with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
-            assert check_sparsity(g, k, l).sparse
-        lines = re.findall(r"forest class (\d+): (\d+) centroid probes, (\d+) edges deleted, "
-                           r"deepest depth (\d+)", caplog.text)
-        assert [int(i) for i, _, _, _ in lines] == list(range(l - k))
-        for _, probes, gone, depth in lines:
-            assert int(gone) == g.m and int(probes) < g.n and 2 ** int(depth) <= g.n
-        assert len({(id(d), e) for d, e in deleted}) == len(deleted) == (l - k) * g.m
+    henneberg = klsparse.generate(klsparse.GenSpec("tight-henneberg", 300, 2, 3, 1))
+    skipped = 0
+    for k, l in ((2, 3), (3, 4), (3, 5)):
+        for g in (henneberg, Graph(300, tuple(_near_tight(300, k, l, 7)))):
+            caplog.clear()
+            deleted.clear()
+            with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
+                assert check_sparsity(g, k, l).sparse
+            lines = re.findall(r"forest class (\d+): (\d+) centroid probes, (\d+) edges deleted, "
+                               r"deepest depth (\d+), (\d+) pieces skipped holding (\d+) edges",
+                               caplog.text)
+            if g is henneberg:
+                assert "sparse by the core: 300 vertices peeled" in caplog.text
+                assert lines == [] and deleted == []
+                continue
+            assert [int(i) for i, *_ in lines] == list(range(l - k))
+            for _, probes, gone, depth, pieces, kept in lines:
+                assert int(gone) + int(kept) == g.m
+                assert int(probes) < g.n and 2 ** int(depth) <= g.n
+                skipped += int(pieces)
+            assert len({(id(d), e) for d, e in deleted}) == len(deleted)
+            assert len(deleted) == sum(int(gone) for _, _, gone, *_ in lines)
+    assert skipped > 0
 
 
 def test_centroid_stage_certificates_reverify():
@@ -418,6 +450,127 @@ def test_centroid_stage_certificates_reverify():
     assert centroid_stage > 200
 
 
+def _reference_centroid_search(d: Orientation, pairs, k: int, l: int) -> set[int] | None:
+    """``recognize._centroid_search`` without the core: every piece is searched.
+
+    The same trees, pieces, centroids, gathers, probes and deletions, in the
+    same order.  A piece with no vertex in the live (k+1)-core holds no
+    violating set, so no probe in its subtree fails, and the search that
+    skips it must find the same first failure and return the same set.
+    """
+    n, tails, inc, eta = d.n, d.tail, d.inc, l - k
+    tree: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        tree[u].append(v)
+        tree[v].append(u)
+    side = list(range(1, n + 1))
+    parent, size, heavy = [-1] * n, [0] * n, [0] * n
+    tags = itertools.count(n + 1)
+
+    def piece(root: int) -> list[int]:
+        tag, order = next(tags), [root]
+        side[root], parent[root], size[root], heavy[root] = tag, -1, 1, 0
+        for v in order:
+            for w in tree[v]:
+                if w != parent[v] and side[w] >= 0:
+                    side[w], parent[w], size[w], heavy[w] = tag, v, 1, 0
+                    order.append(w)
+        return order
+
+    def crossing(heads) -> list[tuple[int, int]]:
+        return [(h, e) for h in heads for e in inc[h] if side[tails[e]] != side[h]]
+
+    trees = [piece(v) for v in range(n) if tree[v] and side[v] <= n]
+    stack = trees[::-1]
+    for _, e in crossing(range(n)):
+        d.delete(e)
+    while stack:
+        order = stack.pop()
+        total, c = len(order), n
+        for v in reversed(order):
+            if v < c and 2 * max(heavy[v], total - size[v]) <= total:
+                c = v
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+                heavy[parent[v]] = max(heavy[parent[v]], size[v])
+        found = d.gather((c,), k, 0)
+        if found is not None:
+            return found
+        side[c] = -1
+        pieces = [piece(w) for w in tree[c] if side[w] >= 0]
+        doomed = crossing(order)
+        sinks = list(dict.fromkeys(h for h, e in doomed if side[tails[e]] < 0))
+        if rooted_search(d, (c,), k, eta, sinks):
+            return rooted_violation(d, (c,), k, eta) | {c}
+        for _, e in doomed:
+            d.delete(e)
+        stack += [part for part in reversed(pieces) if len(part) > 1]
+    return None
+
+
+def _planted_mid(rng: random.Random, k: int, l: int) -> Graph:
+    """A sparse base with a violating set planted on fresh vertices, relabelled and shuffled.
+
+    The base is near-tight, from the pebble game, or a random tree.  The
+    planted set is one of three kinds, each with k|X| - l + 1 edges or a
+    violating pair: one whose vertices have k + 1 edges in it, so none is
+    left in the (k+2)-core (K4 at (2,3), a doubled triangle at (3,4), K6
+    less an edge at (3,5)); a pair joined by 2k - l + 1 parallel edges,
+    outside the core altogether; or a random multigraph the (k,k)-pebble
+    game accepts.  Up to three edges join it to the base.
+    """
+    base_n = rng.randint(8, 40)
+    if rng.random() < 0.5:
+        base = _near_tight(base_n, k, l, rng.random())
+    else:
+        base = [(rng.randrange(v), v) for v in range(1, base_n)]
+    kind = rng.choice(("tight", "pair", "random"))
+    if kind == "tight":
+        planted = {(2, 3): list(itertools.combinations(range(4), 2)),
+                   (3, 4): [(0, 1), (1, 2), (0, 2)] * 2,
+                   (3, 5): list(itertools.combinations(range(6), 2))[1:]}[k, l]
+    elif kind == "pair":
+        planted = [(0, 1)] * (2 * k - l + 1)
+    else:
+        size = rng.randint(3, 6)
+        game, planted = _PebbleGame(size, k, k), []
+        while len(planted) < k * size - l + 1:
+            e = tuple(rng.sample(range(size), 2))
+            if game.try_insert(*e):
+                planted.append(e)
+    size = 1 + max(max(e) for e in planted)
+    edges = base + [(base_n + u, base_n + v) for u, v in planted]
+    edges += [(rng.randrange(base_n), base_n + rng.randrange(size)) for _ in range(rng.randint(0, 3))]
+    n = base_n + size
+    label = rng.sample(range(n), n)
+    rng.shuffle(edges)
+    return Graph(n, tuple((label[u], label[v]) for u, v in edges))
+
+
+def test_centroid_certificates_match_the_search_without_skips():
+    # Near-tight inputs the forests accept, each with a planted violation,
+    # so the centroid stage finds every certificate: the same set as the
+    # search that visits every piece, verdicts and sets alike.
+    rng = random.Random(27)
+    compared = 0
+    for k, l in ((2, 3), (3, 4), (3, 5)):
+        for _ in range(150):
+            g = _planted_mid(rng, k, l)
+            cert, fd = forest_decomposition(g, k)
+            if cert is not None:
+                continue
+            want = None
+            for i in range(l - k):
+                pairs = [g.edges[e] for e in fd.class_edges(i)]
+                if want := _reference_centroid_search(fd.orientation.copy(), pairs, k, l):
+                    break
+            assert want, (g, k, l)  # the planted set violates
+            got = check_sparsity(g, k, l).certificate
+            assert got is not None and got.vertices == frozenset(want), (g, k, l)
+            compared += 1
+    assert compared > 300, compared
+
+
 def test_centroid_failures_are_logged(caplog):
     # A doubled path is not (2,2)-sparse, so centroid 1 cannot shed its
     # indegree; the planted set of the twelve-vertex example avoids the
@@ -425,9 +578,9 @@ def test_centroid_failures_are_logged(caplog):
     doubled = Graph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2)))
     with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
         assert check_sparsity(K4, 2, 3).certificate.vertices == frozenset(range(4))
-        assert _centroid_search(Orientation(doubled), ((0, 1), (1, 2)), 0, 2, 3) == {0, 1, 2}
+        assert _search(doubled, Orientation(doubled), ((0, 1), (1, 2)), 2, 3) == {0, 1, 2}
         fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
-        assert _centroid_search(Orientation(fig2), FIG2_TREE_ARCS, 0, 2, 3) == {1, 2, 3, 4}
+        assert _search(fig2, Orientation(fig2), FIG2_TREE_ARCS, 2, 3) == {1, 2, 3, 4}
     assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
     assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
     assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
@@ -519,6 +672,19 @@ def test_degenerate_extended_graph_needs_no_search(monkeypatch):
     assert calls == []
 
 
+def test_degenerate_mid_graph_needs_no_search(monkeypatch):
+    # A Henneberg graph is 2-degenerate, so its 3-core is empty, and it has
+    # no parallel edges: no class is searched.
+    import klsparse.recognize as recognize
+    calls = []
+    monkeypatch.setattr(recognize, "rooted_search", lambda *args: calls.append(args))
+    monkeypatch.setattr(Orientation, "gather", lambda *args, **kw: calls.append(args))
+    henneberg = klsparse.generate(klsparse.GenSpec("tight-henneberg", 2_000, 2, 3, 1))
+    assert check_sparsity(henneberg, 2, 3).sparse
+    assert check_sparsity(Graph(10**6, ((0, 1),)), 2, 3).sparse
+    assert calls == []
+
+
 def test_degenerate_extended_graph_scales():
     # The peel answers alone, in O(n + m).  Copies of this loop read
     # 1.87-2.42; a quadratic check reads 4, and the pebble-game oracle
@@ -588,13 +754,13 @@ def test_saturated_violation_k4_star_tree():
     from klsparse import bounded_orientation
     cert0, d = bounded_orientation(K4, 2)
     star = ((0, 1), (0, 2), (0, 3))
-    assert _centroid_search(d.copy(), star, 0, 2, 3) == set(range(4))
+    assert _search(K4, d, star, 2, 3) == set(range(4))
 
 
 def test_saturated_violation_triangle_tight():
     from klsparse import bounded_orientation
     cert0, d = bounded_orientation(TRIANGLE, 2)
-    assert _centroid_search(d.copy(), ((0, 1), (1, 2)), 0, 2, 3) is None
+    assert _search(TRIANGLE, d, ((0, 1), (1, 2)), 2, 3) is None
 
 
 def test_figure_two_sparse_and_recursion_finds_planted_set():
@@ -604,7 +770,7 @@ def test_figure_two_sparse_and_recursion_finds_planted_set():
     assert brute_force_check(FIG2, p) is None
     assert check_sparsity(FIG2, 2, 3).sparse
     tree = FIG2_TREE_ARCS
-    assert _centroid_search(d.copy(), tree, 0, 2, 3) is None
+    assert _search(FIG2, d, tree, 2, 3) is None
 
     # adding one edge inside the left block makes {1,2,3,4} violate;
     # that set avoids the root centroid, so the recursion must descend
@@ -612,7 +778,7 @@ def test_figure_two_sparse_and_recursion_finds_planted_set():
     d2 = Orientation(g2)
     assert max(d2.indeg) <= 2
     assert induced_edge_count(g2, {1, 2, 3, 4}) == 6 > 5
-    found = _centroid_search(d2.copy(), tree, 0, 2, 3)
+    found = _search(g2, d2, tree, 2, 3)
     assert found is not None
     assert verify_certificate(g2, p, make_certificate(g2, p, found))
     assert brute_force_check(g2, p) is not None
@@ -720,7 +886,7 @@ def test_saturation_completeness_planted():
             continue  # planted multi-edges can exceed (k,0); resample
         p = SparsityParams(k, l)
         assert induced_edge_count(g, inside) > k * s - l
-        found = _centroid_search(d.copy(), tree, 0, k, l)
+        found = _search(g, d, tree, k, l)
         assert found is not None
         assert verify_certificate(g, p, make_certificate(g, p, found))
         done += 1
