@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .graph import (Certificate, Graph, InputError, ParameterError, SparsityParams, integer,
                     make_certificate)
@@ -91,7 +92,12 @@ class _Builder:
         self.depth = [[0] * g.n for _ in range(kappa)]
         self.comp = [list(range(g.n)) for _ in range(kappa)]
         self.size = [[1] * g.n for _ in range(kappa)]
-        self.adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(kappa)]
+        # Only an end of an edge ever takes a class edge, so a vertex with
+        # none shares one empty tuple: forests over the (k+1)-core allocate
+        # lists for the core's vertices alone.
+        ends = set(chain.from_iterable(g.edges))
+        self.adj: list[list[list[int]]] = [[[] if v in ends else () for v in range(g.n)]
+                                           for _ in range(kappa)]
         self.searches = self.walked = 0
         self.labelled: list[int] = []  # a rejected edge and the edges its search reached
 

@@ -304,6 +304,32 @@ def peel(g: Graph, kappa: int) -> tuple[list[int], list[int], list[list[int]], l
     return tail, head, inc, undirected, undirected.count(0) - isolated
 
 
+def core_counts(g: Graph, kappa: int) -> tuple[list[int], int]:
+    """``peel``'s counts alone: each vertex's edges into the (kappa+1)-core, and the number peeled.
+
+    g has no loops.  A peeled or isolated vertex counts 0.  The loop walks
+    neighbour lists, a parallel edge listed once per copy, and writes no
+    arcs.
+    """
+    n = g.n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    count = list(map(len, nbrs))
+    isolated = count.count(0)
+    stack = [v for v in compress(range(n), count) if count[v] <= kappa]
+    while stack:  # each vertex joins once, at its first count within kappa
+        v = stack.pop()
+        count[v] = 0  # a neighbour w not yet peeled counts its edge to v, so count[w] > 0
+        for w in nbrs[v]:
+            if count[w]:
+                count[w] -= 1
+                if count[w] == kappa:
+                    stack.append(w)
+    return count, count.count(0) - isolated
+
+
 def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> set[int]:
     """Vertices that no directed path from seen reaches without entering blocked.
 

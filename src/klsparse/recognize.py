@@ -11,13 +11,14 @@ orientation itself.  The three range drivers differ in how they produce the
 orientations and which u0 they probe:
 
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
-* k < l < 2k: decompose into k forests (a rejected edge's failed exchange
-  search labels the certificate's edges), orient away from the tree roots,
-  and search each of the first l - k classes by centroid decomposition on
-  one engine: gather each centroid c to a source, probe u0 = {c} with
-  eta = l - k at c's neighbours only, then delete c's edges and those
-  between the pieces c leaves, so each piece keeps only its own edges.
-  A piece with no vertex left in the engine's (k+1)-core is skipped.
+* k < l < 2k: peel G to its (k+1)-core H by counting, then decompose H's
+  edges into k forests (a rejected edge's failed exchange search labels
+  the certificate's edges), orient away from the tree roots, and search
+  each of the first l - k classes by centroid decomposition on one engine:
+  gather each centroid c to a source, probe u0 = {c} with eta = l - k at
+  c's neighbours only, then delete c's edges and those between the pieces
+  c leaves, so each piece keeps only its own edges.  A piece with no
+  vertex left in the engine's (k+1)-core is skipped.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
@@ -67,6 +68,26 @@ not change the full query's answer either: P is disconnected from the
 rest, and each nonempty X in P has k|X| - i(X) >= min(k|X|, l) >= k
 > eta = l - k entering arcs, so no set with fewer than eta meets P.  The
 first failure and its certificate stay the same.
+
+The mid-range core run: the forests and the class searches see only H,
+the edges of G's (k+1)-core in input order, on G's vertex ids.  H's
+forests reject G's first rejected edge uv with G's certificate.  Let X be
+the minimal (k,k)-tight set of G's accepted prefix P holding u and v, the
+set the failed exchange search labels.  A violating subset of P + uv holds
+uv, so it is tight in P, holds u and v, and contains X: X is a minimal
+violating set of P + uv, and by the count of the core lemma (the bound
+k|X| - 2k of X - w is not clamped) each vertex of X has k + 1 edges in X.
+So X lies in the (k+1)-core of P + uv, inside G's.  H's prefix before uv
+lies in P, so it accepts; with uv it holds X's edges, so it rejects uv; and
+a tight set of H's prefix is tight in P, so its minimal one holding u and v
+is X again.  Past a rejection, with no pair of more than 2k - l parallel
+edges, G is sparse iff H is (the core lemma); every vertex of H with an
+edge has k + 1 of them, so H is its own core and its counts are its
+degrees.  A class search that fails on H shows G is not sparse, but the
+set it returns is H's: the full query's maximal set in G's own forests may
+hold peeled vertices, and their centroids differ.  So when H is not all of
+G, the check re-runs the forests and class searches on G, and returns the
+certificate that run gives.  A heavy pair sends the check to G at once.
 """
 from __future__ import annotations
 
@@ -87,7 +108,7 @@ from .graph import (
     make_certificate,
     validate_input,
 )
-from .orient import Orientation, bounded_orientation, peel
+from .orient import Orientation, bounded_orientation, core_counts, peel
 from .rooted import rooted_search, rooted_violation
 
 logger = logging.getLogger(__name__)
@@ -112,20 +133,19 @@ def _low(g: Graph, p: SparsityParams) -> Certificate | None:
     return make_certificate(g, p, found) if found else None
 
 
-def _mid_core(g: Graph, k: int, l: int) -> tuple[list, list[list[int]], int]:
-    """G's (k+1)-core for the centroid search: the peel's counts, edge lists and vertices peeled.
+def _heavy(n: int, edges, most: int) -> bool:
+    """Whether some pair of the n vertices is joined by more than ``most`` of the edges."""
+    pairs = Counter(u * n + v if u < v else v * n + u for u, v in edges)  # ints: no tuple each
+    return max(pairs.values(), default=0) > most
 
-    Each core vertex counts its edges into the core and lists every edge at
-    it; a peeled vertex counts 0.  A pair joined by more than 2k - l
-    parallel edges violates outside the core, so then every vertex counts
-    as in it, with an infinite count that no deletion lowers to k, and
-    nothing is peeled.
-    """
-    pairs = Counter((u, v) if u < v else (v, u) for u, v in g.edges)
-    if max(pairs.values(), default=0) > 2 * k - l:
-        return [inf] * g.n, [], 0
-    _, _, adj, core, peeled = peel(g, k)
-    return core, adj, peeled
+
+def _edge_lists(g: Graph) -> list[list[int]]:
+    """The edge ids at each vertex, in id order."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        adj[u].append(e)
+        adj[v].append(e)
+    return adj
 
 
 def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
@@ -146,11 +166,13 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
     of k forests, so the graph is (k,k)-sparse.  Only a direct call on an
     orientation that is not (k,k)-sparse reaches that branch.
 
-    ``core`` and ``adj`` are ``_mid_core``'s for d's edges.  The counts are
-    copied and kept as the (k+1)-core of the live engine: a deletion lowers
-    both ends' counts, and a vertex whose count drops to k leaves the core,
-    lowering its neighbours' in turn.  A tree or piece with no vertex left in
-    the core is skipped, with its whole subtree (the piece-skip lemma above).
+    ``core`` holds each vertex's count of edges into the (k+1)-core of d's
+    edges (0 outside it), or an infinite count at every vertex, and ``adj``
+    each core vertex's edge ids in d.  The counts are copied and kept as the
+    (k+1)-core of the live engine: a deletion lowers both ends' counts, and
+    a vertex whose count drops to k leaves the core, lowering its
+    neighbours' in turn.  A tree or piece with no vertex left in the core is
+    skipped, with its whole subtree (the piece-skip lemma above).
     """
     n, tails, heads, inc, indeg, eta = d.n, d.tail, d.head, d.inc, d.indeg, l - k
     live = list(core)  # each vertex's live edges into the live core, 0 once outside it
@@ -258,30 +280,75 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
     return found
 
 
-def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
-    """Range k < l < 2k: forest decomposition plus centroid decomposition.
-
-    By the core lemma, an empty (k+1)-core with no pair of more than 2k - l
-    parallel edges answers sparse with no class search.
-    """
-    cert, fd = _decompose(g, p.k)  # validate_input has ruled out loops
-    if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
-        return make_certificate(g, p, cert.vertices, cert.induced_edges)
+def _classes(g: Graph, p: SparsityParams, fd, core: list,
+             adj: list[list[int]]) -> set[int] | None:
+    """The first l - k class searches on g's forests: the first failing one's set, or None."""
     d = fd.orientation  # the builder's trees, each directed away from its root
     if d.max_indegree() > p.k:
         raise ContractError("the forest orientation is not k-indegree-bounded")
-    core, adj, peeled = _mid_core(g, p.k, p.l)
-    if not any(core):
-        logger.debug("sparse by the core: %d vertices peeled, no pair with more than %d "
-                     "parallel edges", peeled, 2 * p.k - p.l)
-        return None
     last = min(p.l - p.k, g.m) - 1  # the classes past the first m are empty
     for i in range(last + 1):  # the last class runs on d itself: nothing reads it afterwards
         found = _centroid_search(d if i == last else d.copy(),
                                  [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l, core, adj)
         if found is not None:
-            return make_certificate(g, p, found)
+            return found
     return None
+
+
+def _mid_on_all(g: Graph, p: SparsityParams, core: list,
+                adj: list[list[int]]) -> Certificate | None:
+    """Forests and class searches over all of G's edges, the searches given core and adj."""
+    cert, fd = _decompose(g, p.k)
+    if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
+        return make_certificate(g, p, cert.vertices, cert.induced_edges)
+    found = _classes(g, p, fd, core, adj)
+    return None if found is None else make_certificate(g, p, found)
+
+
+def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
+    """Range k < l < 2k: forests, then class searches, over G's (k+1)-core H.
+
+    The steps follow the core run above: a heavy pair among H's edges sends
+    the check to all of G, with no piece skipped, before H's forests are
+    built; a rejection by them is returned as it is; a heavy pair among the
+    other edges then sends the check to G too.  An empty H answers sparse
+    with no forest at all.  A class search that fails on an H that is not G
+    re-runs the check on G, so that the certificate is G's own.
+    """
+    k, most = p.k, 2 * p.k - p.l
+    counts, peeled = core_counts(g, k)  # counts[v] > 0 iff v lies in the (k+1)-core
+    inner = [e for e in g.edges if counts[e[0]] and counts[e[1]]]
+    h = g if len(inner) == g.m else Graph(g.n, tuple(inner))
+    logger.debug("forests over the (k+1)-core: %d of %d edges, %d vertices peeled",
+                 h.m, g.m, peeled)
+
+    def on_all_heavy() -> Certificate | None:
+        logger.debug("a pair with more than %d parallel edges: the check runs on all %d edges",
+                     most, g.m)
+        return _mid_on_all(g, p, [inf] * g.n, [])  # no deletion lowers an infinite count
+
+    fd = None
+    if h.m:
+        if _heavy(g.n, h.edges, most):
+            return on_all_heavy()
+        cert, fd = _decompose(h, k)  # validate_input has ruled out loops
+        if cert is not None:  # G's first rejection, with G's certificate: both lie in H
+            return make_certificate(g, p, cert.vertices, cert.induced_edges)
+    rest = (e for e in g.edges if not (counts[e[0]] and counts[e[1]]))
+    if h is not g and _heavy(g.n, rest, most):
+        return on_all_heavy()
+    if fd is None:
+        logger.debug("sparse by the core: %d vertices peeled, no pair with more than %d "
+                     "parallel edges", peeled, most)
+        return None
+    # Every vertex of H with an edge lies in H's own (k+1)-core: its count is its H-degree.
+    found = _classes(h, p, fd, counts, _edge_lists(h))
+    if found is None:
+        return None
+    if h is g:
+        return make_certificate(g, p, found)
+    logger.debug("a class search over the core fails: the check re-runs on all %d edges", g.m)
+    return _mid_on_all(g, p, counts, _edge_lists(g))
 
 
 def _has_triangle(tail: list[int], inc: list[list[int]]) -> bool:

@@ -18,7 +18,7 @@ from klsparse import (
     induced_edge_count,
 )
 from klsparse.graph import SparsityParams, make_certificate
-from klsparse.orient import unreached
+from klsparse.orient import core_counts, peel, unreached
 from klsparse.rooted import rooted_search, rooted_violation
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -281,6 +281,22 @@ def test_peel_leaves_a_degenerate_multigraph_nothing_to_gather(caplog):
         assert (f"indegree bound {kappa} met: {touched} vertices peeled, a core of 0, "
                 "0 vertices above it at the start, 0 units gathered") in caplog.text
         assert d.inc == _rebuilt(d).inc
+
+
+def test_core_counts_are_the_peels_counts():
+    # The counting loop and the peel that directs arcs remove the same
+    # vertices, so they leave each core vertex the same count; isolated
+    # vertices and parallel edges included, loops excluded.
+    rng = random.Random(28)
+    cores = 0
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        g = Graph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))))
+        for kappa in (1, 2, 3):
+            _, _, _, counts, peeled = peel(g, kappa)
+            assert core_counts(g, kappa) == (counts, peeled)
+            cores += any(counts)
+    assert cores > 200
 
 
 def test_engine_starts_from_in_lists_in_edge_id_order(monkeypatch):

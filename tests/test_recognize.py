@@ -11,8 +11,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import klsparse
 from klsparse import (
@@ -31,8 +34,10 @@ from klsparse import (
     rooted_violation,
     verify_certificate,
 )
+from klsparse.forests import _decompose
 from klsparse.oracles import _PebbleGame
-from klsparse.recognize import _centroid_search, _high, _low, _mid, _mid_core
+from klsparse.orient import peel
+from klsparse.recognize import _centroid_search, _high, _low, _mid
 from klsparse.rooted import rooted_search
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -68,10 +73,44 @@ def _brute_violating_superset(g: Graph, u0: set[int], k: int, l: int) -> bool:
     return False
 
 
+def _reference_core(g: Graph, k: int, l: int) -> tuple[list, list[list[int]]]:
+    """G's (k+1)-core for a class search over all of G: ``peel``'s counts and edge lists.
+
+    A pair joined by more than 2k - l parallel edges violates outside the
+    core, so then every vertex counts as in it, with an infinite count.
+    """
+    pairs = Counter((u, v) if u < v else (v, u) for u, v in g.edges)
+    if max(pairs.values(), default=0) > 2 * k - l:
+        return [inf] * g.n, []
+    _, _, adj, core, _ = peel(g, k)
+    return core, adj
+
+
 def _search(g: Graph, d: Orientation, tree, k: int, l: int) -> set[int] | None:
-    """``_centroid_search`` of class 0 on d, an orientation of g, with g's core as ``_mid`` gives it."""
-    core, adj, _ = _mid_core(g, k, l)
-    return _centroid_search(d, tree, 0, k, l, core, adj)
+    """``_centroid_search`` of class 0 on d, an orientation of g, with all of g's core."""
+    return _centroid_search(d, tree, 0, k, l, *_reference_core(g, k, l))
+
+
+def _reference_mid(g: Graph, p: SparsityParams) -> Certificate | None:
+    """``recognize._mid`` as it ran before the core came first: forests over every edge.
+
+    The forests take all of G's edges; a rejection is returned, and
+    otherwise G's core decides, with every class searched on G's forests.
+    """
+    cert, fd = _decompose(g, p.k)
+    if cert is not None:
+        return make_certificate(g, p, cert.vertices, cert.induced_edges)
+    core, adj = _reference_core(g, p.k, p.l)
+    if not any(core):
+        return None
+    d = fd.orientation
+    last = min(p.l - p.k, g.m) - 1
+    for i in range(last + 1):
+        found = _centroid_search(d if i == last else d.copy(),
+                                 [g.edges[e] for e in fd.class_edges(i)], i, p.k, p.l, core, adj)
+        if found is not None:
+            return make_certificate(g, p, found)
+    return None
 
 
 def test_low_range_cycle_not_sparse():
@@ -403,8 +442,10 @@ def test_centroid_search_deletes_each_edge_once(caplog, monkeypatch):
     # two trees, touches the centroid or crosses between the new pieces, so
     # on a sparse graph no edge leaves an engine twice.  A piece left with no
     # vertex in the live (k+1)-core is skipped whole, its edges kept, so each
-    # class deletes or keeps every edge.  A Henneberg graph is 2-degenerate,
-    # so its 3-core and 4-core are empty, and no class is searched.
+    # class deletes or keeps every edge of the (k+1)-core H, the only edges
+    # the forests and the class searches see.  A Henneberg graph is
+    # 2-degenerate, so its 3-core and 4-core are empty, and no class is
+    # searched.
     deleted = []
     real = Orientation.delete
     monkeypatch.setattr(Orientation, "delete", lambda d, e: deleted.append((d, e)) or real(d, e))
@@ -419,13 +460,17 @@ def test_centroid_search_deletes_each_edge_once(caplog, monkeypatch):
             lines = re.findall(r"forest class (\d+): (\d+) centroid probes, (\d+) edges deleted, "
                                r"deepest depth (\d+), (\d+) pieces skipped holding (\d+) edges",
                                caplog.text)
+            (core, m), = re.findall(r"forests over the \(k\+1\)-core: (\d+) of (\d+) edges",
+                                    caplog.text)
+            assert int(m) == g.m
             if g is henneberg:
                 assert "sparse by the core: 300 vertices peeled" in caplog.text
-                assert lines == [] and deleted == []
+                assert lines == [] and deleted == [] and core == "0"
                 continue
+            assert 0 < int(core) < g.m
             assert [int(i) for i, *_ in lines] == list(range(l - k))
             for _, probes, gone, depth, pieces, kept in lines:
-                assert int(gone) + int(kept) == g.m
+                assert int(gone) + int(kept) == int(core)
                 assert int(probes) < g.n and 2 ** int(depth) <= g.n
                 skipped += int(pieces)
             assert len({(id(d), e) for d, e in deleted}) == len(deleted)
@@ -571,20 +616,64 @@ def test_centroid_certificates_match_the_search_without_skips():
     assert compared > 300, compared
 
 
+@st.composite
+def _mid_instances(draw):
+    """A loop-free multigraph at a mid pair of the golden grid: a dense part, vertices hung off it.
+
+    The dense part has up to k edges per vertex, parallel pairs included.
+    Each vertex hung off it joins earlier vertices by 1 to k edges, so the
+    peel removes it.  Vertices are relabelled and the edges shuffled.
+    """
+    k, l = draw(st.sampled_from(((2, 3), (3, 4), (3, 5))))
+    c = draw(st.integers(2, 5))
+    n = c + draw(st.integers(0, 4))
+    pair = st.tuples(st.integers(0, c - 1), st.integers(1, c - 1)).map(
+        lambda ud: (ud[0], (ud[0] + ud[1]) % c))
+    edges = draw(st.lists(pair, max_size=k * c))
+    for v in range(c, n):
+        edges += [(v, w) for w in draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=k))]
+    label = draw(st.permutations(range(n)))
+    edges = [(label[u], label[v]) for u, v in draw(st.permutations(edges))]
+    return Graph(n, tuple(edges)), SparsityParams(k, l)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_mid_instances())
+def test_core_run_matches_the_run_over_every_edge(case):
+    # The forests and class searches over the (k+1)-core give the verdict
+    # and the certificate of the run over every edge: a rejection lies in
+    # the core, and a class search that fails on a core short of G re-runs
+    # on G, since its set may leave out vertices hanging off the core.
+    g, p = case
+    assert _mid(g, p) == _reference_mid(g, p)
+
+
 def test_centroid_failures_are_logged(caplog):
     # A doubled path is not (2,2)-sparse, so centroid 1 cannot shed its
     # indegree; the planted set of the twelve-vertex example avoids the
-    # first centroid, so the search fails one level down.
+    # first centroid, so the search fails one level down.  K4 is its own
+    # 3-core; with a pendant edge it is not G, so its failed class search
+    # re-runs on G, and a doubled pendant edge sends the check to all of G.
     doubled = Graph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2)))
     with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
         assert check_sparsity(K4, 2, 3).certificate.vertices == frozenset(range(4))
+        assert "forests over the (k+1)-core: 6 of 6 edges, 0 vertices peeled" in caplog.text
+        assert "re-runs" not in caplog.text
+        pendant = Graph(5, K4.edges + ((0, 4),))
+        assert check_sparsity(pendant, 2, 3).certificate.vertices == frozenset(range(4))
+        assert "forests over the (k+1)-core: 6 of 7 edges, 1 vertices peeled" in caplog.text
+        assert "a class search over the core fails: the check re-runs on all 7 edges" in caplog.text
+        heavy = Graph(5, K4.edges + ((0, 4), (4, 0)))
+        assert check_sparsity(heavy, 2, 3).certificate.vertices == frozenset(range(5))
+        assert ("a pair with more than 1 parallel edges: the check runs on all 8 edges"
+                in caplog.text)
         assert _search(doubled, Orientation(doubled), ((0, 1), (1, 2)), 2, 3) == {0, 1, 2}
         fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
         assert _search(fig2, Orientation(fig2), FIG2_TREE_ARCS, 2, 3) == {1, 2, 3, 4}
     assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
     assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
     assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
-    assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 2
+    assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 5
     assert "forest class 0: 2 centroid probes, 3 edges deleted, deepest depth 1" in caplog.text
 
 
@@ -674,15 +763,82 @@ def test_degenerate_extended_graph_needs_no_search(monkeypatch):
 
 def test_degenerate_mid_graph_needs_no_search(monkeypatch):
     # A Henneberg graph is 2-degenerate, so its 3-core is empty, and it has
-    # no parallel edges: no class is searched.
+    # no parallel edges: no forest is built and no class is searched.
     import klsparse.recognize as recognize
     calls = []
     monkeypatch.setattr(recognize, "rooted_search", lambda *args: calls.append(args))
+    monkeypatch.setattr(recognize, "_decompose", lambda *args: calls.append(args))
     monkeypatch.setattr(Orientation, "gather", lambda *args, **kw: calls.append(args))
     henneberg = klsparse.generate(klsparse.GenSpec("tight-henneberg", 2_000, 2, 3, 1))
     assert check_sparsity(henneberg, 2, 3).sparse
     assert check_sparsity(Graph(10**6, ((0, 1),)), 2, 3).sparse
     assert calls == []
+
+
+def test_one_edge_mid_check_costs_little():
+    # A million vertices and one edge: the counting peel leaves the 4-core
+    # empty, so no forest is built, and the check should cost about as much
+    # as the one neighbour list per vertex the peel walks.  Building the
+    # forests over every edge first cost 6.4-8.1 times that.
+    n = 10**6
+    g = Graph(n, ((0, 1),))
+    runs = {"lists": lambda: [[] for _ in range(n)], "check": lambda: check_sparsity(g, 3, 5)}
+    best = dict.fromkeys(runs, float("inf"))
+    assert runs["check"]().sparse
+    gc.freeze()  # keep the objects of earlier tests out of the timed collections
+    try:
+        for _ in range(3):  # interleaved, so a slow spell of the machine hits both
+            for name, run in runs.items():
+                start = time.perf_counter()
+                run()
+                best[name] = min(best[name], time.perf_counter() - start)
+    finally:
+        gc.unfreeze()
+    assert best["check"] < 4 * best["lists"]
+
+
+def _planted_vertex_addition(n: int, k: int, l: int, seed: int) -> Graph:
+    """A k-degenerate graph with a block of k|X| - k + 1 edges on 2k + 1 vertices amid its edges.
+
+    The first k vertices form a clique and each later one joins k earlier
+    ones, so without the block the (k+1)-core is empty.  The block's pairs
+    are distinct and replace the edges between its vertices, and random
+    edges go to keep k*n - l edges in all, as the benchmark's planted rows
+    do, so that no count of all the edges shows the violation.
+    """
+    rng = random.Random(seed)
+    block = set(rng.sample(range(n), 2 * k + 1))
+    edges = [(a, b) for b in range(k) for a in range(b)]
+    edges += [(a, v) for v in range(k, n) for a in rng.sample(range(v), k)]
+    edges = [(u, v) for u, v in edges if not (u in block and v in block)]
+    rng.shuffle(edges)
+    pairs = rng.sample(list(itertools.combinations(sorted(block), 2)), k * len(block) - k + 1)
+    del edges[k * n - l - len(pairs):]
+    half = len(edges) // 2
+    return Graph(n, tuple(edges[:half] + pairs + edges[half:]))
+
+
+@pytest.mark.parametrize("k, l", [(2, 3), (3, 5)])
+def test_forests_see_only_core_edges_before_a_rejection(monkeypatch, k, l):
+    # The block violates (k,k)-sparsity and the rest is k-degenerate, so the
+    # (k+1)-core is the block and what its degrees pull in.  The forests run
+    # once, over the core's edges alone, and reject an edge there, with the
+    # certificate of the forests over every edge.
+    import klsparse.recognize as recognize
+    g = _planted_vertex_addition(2_000, k, l, 1)
+    core = peel(g, k)[3]
+    seen = []
+    real = recognize._decompose
+
+    def counted(h, kappa):
+        seen.append(h.edges)
+        return real(h, kappa)
+
+    monkeypatch.setattr(recognize, "_decompose", counted)
+    got = check_sparsity(g, k, l).certificate
+    (edges,) = seen
+    assert all(core[u] and core[v] for u, v in edges) and 2 * k * k + 1 <= len(edges) < g.m // 2
+    assert got == _reference_mid(g, SparsityParams(k, l))
 
 
 def test_degenerate_extended_graph_scales():
