@@ -7,6 +7,7 @@ indegree of their vertex.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable
@@ -53,13 +54,13 @@ class Graph:
         return any(u == v for u, v in self.edges)
 
     def has_parallel_edge(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
+        return self.max_multiplicity() > 1
+
+    def max_multiplicity(self) -> int:
+        """The most edges joining one pair of vertices (a loop's pair is (v, v)); 0 with none."""
+        n = self.n  # integer keys: no tuple per edge
+        pairs = Counter(u * n + v if u < v else v * n + u for u, v in self.edges)
+        return max(pairs.values(), default=0)
 
 
 def integer(value, name: str, error: type[ValueError] = ParameterError) -> int:

@@ -271,7 +271,8 @@ def peel(g: Graph, kappa: int) -> tuple[list[int], list[int], list[list[int]], l
     Returns ``(tail, head, inc, undirected, peeled)``: the peeled edges'
     arcs (0 at the core's edges), each peeled vertex's in-edges in id order
     and each core vertex's edges, each vertex's count of edges still
-    undirected (0 once peeled or isolated) and the number peeled.
+    undirected (0 once peeled or isolated) and the number peeled.  The
+    recognizers need the counts alone and take them from ``core_counts``.
     """
     n, edges = g.n, g.edges
     inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex, a loop once

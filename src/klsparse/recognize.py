@@ -80,20 +80,22 @@ k|X| - 2k of X - w is not clamped) each vertex of X has k + 1 edges in X.
 So X lies in the (k+1)-core of P + uv, inside G's.  H's prefix before uv
 lies in P, so it accepts; with uv it holds X's edges, so it rejects uv; and
 a tight set of H's prefix is tight in P, so its minimal one holding u and v
-is X again.  Past a rejection, with no pair of more than 2k - l parallel
-edges, G is sparse iff H is (the core lemma); every vertex of H with an
-edge has k + 1 of them, so H is its own core and its counts are its
-degrees.  A class search that fails on H shows G is not sparse, but the
-set it returns is H's: the full query's maximal set in G's own forests may
-hold peeled vertices, and their centroids differ.  So when H is not all of
-G, the check re-runs the forests and class searches on G, and returns the
-certificate that run gives.  A heavy pair sends the check to G at once.
+is X again.  The argument uses (k,k)-tightness alone, so it holds whether or
+not a pair is joined by more than 2k - l parallel edges.  Once H's forests
+accept, with no such heavy pair, G is sparse iff H is (the core lemma);
+every vertex of H with an edge has k + 1 of them, so H is its own core and
+its counts are its degrees.  A class search that fails on H shows G is not
+sparse, but the set it returns is H's: the full query's maximal set in G's
+own forests may hold peeled vertices, and their centroids differ.  So when
+H is not all of G, the class searches re-run on G's forests, and the check
+returns the certificate they give.  A heavy pair sends the class searches
+to G's forests at once, with nothing skipped.
 """
 from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from math import inf
@@ -108,7 +110,7 @@ from .graph import (
     make_certificate,
     validate_input,
 )
-from .orient import Orientation, bounded_orientation, core_counts, peel
+from .orient import Orientation, bounded_orientation, core_counts
 from .rooted import rooted_search, rooted_violation
 
 logger = logging.getLogger(__name__)
@@ -129,14 +131,8 @@ def _low(g: Graph, p: SparsityParams) -> Certificate | None:
     cert, d = bounded_orientation(g, p.k)
     if cert is not None:
         return make_certificate(g, p, cert.vertices, cert.induced_edges)
-    found = rooted_violation(d, frozenset(), p.k, p.l)
+    found = rooted_search(d, frozenset(), p.k, p.l)  # bounded_orientation checked indegrees
     return make_certificate(g, p, found) if found else None
-
-
-def _heavy(n: int, edges, most: int) -> bool:
-    """Whether some pair of the n vertices is joined by more than ``most`` of the edges."""
-    pairs = Counter(u * n + v if u < v else v * n + u for u, v in edges)  # ints: no tuple each
-    return max(pairs.values(), default=0) > most
 
 
 def _edge_lists(g: Graph) -> list[list[int]]:
@@ -295,25 +291,15 @@ def _classes(g: Graph, p: SparsityParams, fd, core: list,
     return None
 
 
-def _mid_on_all(g: Graph, p: SparsityParams, core: list,
-                adj: list[list[int]]) -> Certificate | None:
-    """Forests and class searches over all of G's edges, the searches given core and adj."""
-    cert, fd = _decompose(g, p.k)
-    if cert is not None:  # a (k,k) violation, whose count serves (k,l) too
-        return make_certificate(g, p, cert.vertices, cert.induced_edges)
-    found = _classes(g, p, fd, core, adj)
-    return None if found is None else make_certificate(g, p, found)
-
-
 def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range k < l < 2k: forests, then class searches, over G's (k+1)-core H.
 
-    The steps follow the core run above: a heavy pair among H's edges sends
-    the check to all of G, with no piece skipped, before H's forests are
-    built; a rejection by them is returned as it is; a heavy pair among the
-    other edges then sends the check to G too.  An empty H answers sparse
-    with no forest at all.  A class search that fails on an H that is not G
-    re-runs the check on G, so that the certificate is G's own.
+    The steps follow the core run above.  A rejection by H's forests is
+    returned as it is, heavy pair or not.  Then one count looks for a heavy
+    pair.  Without one, an empty H answers sparse and otherwise H's class
+    searches decide, but a failure on an H that is not G re-runs them on G's
+    forests, so that the certificate is G's own.  A heavy pair runs them on
+    G's forests at once.
     """
     k, most = p.k, 2 * p.k - p.l
     counts, peeled = core_counts(g, k)  # counts[v] > 0 iff v lies in the (k+1)-core
@@ -321,50 +307,48 @@ def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
     h = g if len(inner) == g.m else Graph(g.n, tuple(inner))
     logger.debug("forests over the (k+1)-core: %d of %d edges, %d vertices peeled",
                  h.m, g.m, peeled)
-
-    def on_all_heavy() -> Certificate | None:
-        logger.debug("a pair with more than %d parallel edges: the check runs on all %d edges",
-                     most, g.m)
-        return _mid_on_all(g, p, [inf] * g.n, [])  # no deletion lowers an infinite count
-
-    fd = None
     if h.m:
-        if _heavy(g.n, h.edges, most):
-            return on_all_heavy()
         cert, fd = _decompose(h, k)  # validate_input has ruled out loops
         if cert is not None:  # G's first rejection, with G's certificate: both lie in H
             return make_certificate(g, p, cert.vertices, cert.induced_edges)
-    rest = (e for e in g.edges if not (counts[e[0]] and counts[e[1]]))
-    if h is not g and _heavy(g.n, rest, most):
-        return on_all_heavy()
-    if fd is None:
+    heavy = g.max_multiplicity() > most
+    if heavy:
+        logger.debug("a pair with more than %d parallel edges: the check runs on all %d edges",
+                     most, g.m)
+    elif not h.m:
         logger.debug("sparse by the core: %d vertices peeled, no pair with more than %d "
                      "parallel edges", peeled, most)
         return None
-    # Every vertex of H with an edge lies in H's own (k+1)-core: its count is its H-degree.
-    found = _classes(h, p, fd, counts, _edge_lists(h))
-    if found is None:
-        return None
-    if h is g:
-        return make_certificate(g, p, found)
-    logger.debug("a class search over the core fails: the check re-runs on all %d edges", g.m)
-    return _mid_on_all(g, p, counts, _edge_lists(g))
+    else:
+        # Every vertex of H with an edge lies in H's own (k+1)-core: its count is its H-degree.
+        found = _classes(h, p, fd, counts, _edge_lists(h))
+        if found is None:
+            return None
+        if h is g:
+            return make_certificate(g, p, found)
+        logger.debug("a class search over the core fails: the check re-runs on all %d edges", g.m)
+    if h is not g:  # else H's forests serve: no class search has run on them
+        cert, fd = _decompose(g, k)
+        if cert is not None:
+            raise ContractError("G's forests reject an edge that the core's forests accept")
+    # No deletion lowers an infinite count, so with a heavy pair nothing is skipped.
+    core, adj = ([inf] * g.n, []) if heavy else (counts, _edge_lists(g))
+    found = _classes(g, p, fd, core, adj)
+    return None if found is None else make_certificate(g, p, found)
 
 
-def _has_triangle(tail: list[int], inc: list[list[int]]) -> bool:
-    """Whether a fully peeled simple graph has a triangle, given the peel's in-lists.
+def _has_triangle(edges) -> bool:
+    """Whether a simple graph has a triangle: the ends of some edge share a neighbour.
 
-    A triangle's first peeled vertex has its two edges as in-edges, and the
-    third edge is an in-edge of one of the other two ends.
+    Only the ends of edges get a neighbour set.  ``isdisjoint`` walks the
+    smaller set, so this is O(a*m) for arboricity a (Chiba and Nishizeki
+    1985), and a <= k once the (k+1)-core is empty.
     """
-    for ins in inc:
-        if len(ins) > 1:
-            ends = [tail[e] for e in ins]
-            for a in ends:
-                for f in inc[a]:
-                    if tail[f] in ends:
-                        return True
-    return False
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return any(not nbrs[u].isdisjoint(nbrs[v]) for u, v in edges)
 
 
 def _high(g: Graph, p: SparsityParams) -> Certificate | None:
@@ -375,17 +359,16 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
     that the input graph violates (k, l).  By the locality lemma above the
     probe searches only the neighbours of u and v; the full query runs
     once, after a failed probe, for the certificate.  By the core lemma
-    above, an empty (k+1)-core with no violating 3-set answers sparse with
-    no insertion.
+    above, an empty (k+1)-core, found by the counting peel, with no
+    violating 3-set answers sparse with no insertion.
     """
     k, l = p.k, p.l
-    tail, head, inc, core, peeled = peel(g, k)  # core[v] > 0 iff v lies in the (k+1)-core
+    core, peeled = core_counts(g, k)  # core[v] > 0 iff v lies in the (k+1)-core
     small = l - 3 * k + 3  # 1: a triangle violates, 2: a 2-path does, below 1: no 3-set
-    if not any(core) and (small < 1 or small == 1 and not _has_triangle(tail, inc)
+    if not any(core) and (small < 1 or small == 1 and not _has_triangle(g.edges)
                           or small == 2 and 2 * g.m == peeled):  # a matching
         logger.debug("sparse by the core: %d vertices peeled, no violating 3-set", peeled)
         return None
-    del tail, head, inc  # freed before the engine is built: only the core flags are kept
     d = Orientation._from_lists(g.n, [], [])  # each edge enters a gathered source: indeg <= k
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = l + 1 - 2 * k

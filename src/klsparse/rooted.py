@@ -47,10 +47,11 @@ since its cut value k|X| - i(X) - e(u0, X) does not depend on the
 orientation.  However large the root side grows, the failing sink and
 this set stay the same.  No minimality of the returned set is guaranteed.
 
-``rooted_violation`` is the checked query.  The drivers' probes call
+``rooted_violation`` is the checked query.  The drivers call
 ``rooted_search``, which skips the input checks: each keeps every
-indegree at most k on its own engine, so no probe pays an O(n) pass.  The
-low range's one query, and the one full query after a failed probe, call
+indegree at most k on its own engine, so no probe pays an O(n) pass, and
+the low range's one query follows ``bounded_orientation``, which has
+checked the bound.  The one full query after a failed probe calls
 ``rooted_violation`` at the driver's own eta, so its checks run at most
 once per recognition.  A driver that knows vertices every violating set
 must meet passes them to ``rooted_search`` as the sinks: the

@@ -112,6 +112,10 @@ def test_validate_input_per_range():
     assert validate_input(parallel, SparsityParams(2, 2)) is None
     assert validate_input(loop, SparsityParams(2, 1)) is None
     assert validate_input(loop, SparsityParams(2, 4)) is not None
+    # A pair counts in either order; a loop's pair is (v, v).
+    assert validate_input(Graph(3, ((1, 2), (2, 1))), SparsityParams(2, 4)) is not None
+    mixed = Graph(3, ((2, 0), (1, 1), (0, 2), (1, 1), (2, 0)))
+    assert [g.max_multiplicity() for g in (Graph(0, ()), loop, parallel, mixed)] == [0, 1, 2, 3]
 
 
 def test_verify_certificate():

@@ -322,7 +322,7 @@ import klsparse.orient as orient
 import klsparse.recognize as recognize
 from klsparse import ContractError, Graph, bounded_orientation, check_sparsity
 assert False, "asserts are live"
-recognize.rooted_violation = lambda d, u0, k, eta: {0}
+recognize.rooted_search = lambda d, u0, k, eta: {0}
 try:
     check_sparsity(Graph(3, ((0, 1),)), 1, 1)
 except ContractError:
@@ -351,26 +351,37 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _scratch_callers(node: ast.AST, name: str):
-    """Qualified names of the functions under node that call ``scratch()``."""
+def _callers(node: ast.AST, name: str, callee: str):
+    """Qualified names of the functions under node that call ``callee``, bare or as an attribute."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _scratch_callers(child, f"{name}.{child.name}")
+            yield from _callers(child, f"{name}.{child.name}", callee)
             continue
-        if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "scratch":
+        if isinstance(child, ast.Call) and callee in (getattr(child.func, "attr", None),
+                                                      getattr(child.func, "id", None)):
             yield name
-        yield from _scratch_callers(child, name)
+        yield from _callers(child, name, callee)
 
 
-def test_gather_is_the_only_path_search():
-    # One path-search primitive: only Orientation.gather takes a search stamp.
+def _package_callers(callee: str) -> set[str]:
     package = os.path.dirname(klsparse.__file__)
     found = set()
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as f:
-                found.update(_scratch_callers(ast.parse(f.read()), name[:-3]))
-    assert found == {"orient.Orientation.gather"}
+                found.update(_callers(ast.parse(f.read()), name[:-3], callee))
+    return found
+
+
+def test_gather_is_the_only_path_search():
+    # One path-search primitive: only Orientation.gather takes a search stamp.
+    assert _package_callers("scratch") == {"orient.Orientation.gather"}
+
+
+def test_only_bounded_orientation_peels_with_arcs():
+    # The recognizers need only the core's counts, from core_counts; the
+    # peel that writes arcs serves the low range's orientation alone.
+    assert _package_callers("peel") == {"orient.bounded_orientation"}
 
 
 def test_public_surface_is_pinned():
@@ -751,13 +762,22 @@ def _degenerate(n: int, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def _k2n(n: int) -> Graph:
+    """K_{2,n}: hubs 0 and 1, each joined to every one of the n leaves."""
+    return Graph(n + 2, tuple((hub, leaf) for leaf in range(2, n + 2) for hub in (0, 1)))
+
+
 def test_degenerate_extended_graph_needs_no_search(monkeypatch):
     import klsparse.recognize as recognize
     calls = []
     monkeypatch.setattr(recognize, "rooted_search", lambda *args: calls.append(args))
     monkeypatch.setattr(Orientation, "gather", lambda *args, **kw: calls.append(args))
+    # The empty 4-core answers (3,6) alone; at (2,4) K_{2,n} needs the
+    # triangle test, and at (2,5) a matching the count of peeled vertices.
     assert check_sparsity(_degenerate(2_000, 1), 3, 6).sparse
     assert check_sparsity(Graph(10**6, ((0, 1),)), 3, 6).sparse
+    assert check_sparsity(_k2n(2_000), 2, 4).sparse
+    assert check_sparsity(Graph(2_000, tuple((v, v + 1) for v in range(0, 2_000, 2))), 2, 5).sparse
     assert calls == []
 
 
@@ -853,6 +873,25 @@ def test_degenerate_extended_graph_scales():
             for n, g in graphs.items():
                 start = time.perf_counter()
                 assert check_sparsity(g, 3, 6).sparse
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[200_000] / best[100_000] <= 2.8
+
+
+def test_triangle_test_on_hubs_scales():
+    # K_{2,n} is (2,4)-tight with an empty 3-core and no triangle, so the
+    # triangle test answers; each edge joins a hub of degree n to a leaf of
+    # degree 2.  Walking the smaller neighbour set keeps the test linear; one
+    # that walks the hub's is quadratic.
+    graphs = {n: _k2n(n) for n in (100_000, 200_000)}
+    best = dict.fromkeys(graphs, float("inf"))
+    gc.disable()
+    try:
+        for _ in range(3):  # interleaved, as for the stars above
+            for n, g in graphs.items():
+                start = time.perf_counter()
+                assert check_sparsity(g, 2, 4).sparse
                 best[n] = min(best[n], time.perf_counter() - start)
     finally:
         gc.enable()
