@@ -54,13 +54,19 @@ class Graph:
         return any(u == v for u, v in self.edges)
 
     def has_parallel_edge(self) -> bool:
-        return self.max_multiplicity() > 1
+        return self.heaviest_pair()[1] > 1
 
-    def max_multiplicity(self) -> int:
-        """The most edges joining one pair of vertices (a loop's pair is (v, v)); 0 with none."""
+    def heaviest_pair(self) -> tuple[tuple[int, int] | None, int]:
+        """The pair joined by the most edges, lower id first, and their count; (None, 0) with none.
+
+        A loop's pair is (v, v).  Among ties the pair that first appears in
+        the edges wins.
+        """
         n = self.n  # integer keys: no tuple per edge
-        pairs = Counter(u * n + v if u < v else v * n + u for u, v in self.edges)
-        return max(pairs.values(), default=0)
+        for key, most in Counter(u * n + v if u < v else v * n + u
+                                 for u, v in self.edges).most_common(1):
+            return divmod(key, n), most
+        return None, 0
 
 
 def integer(value, name: str, error: type[ValueError] = ParameterError) -> int:

@@ -13,12 +13,14 @@ orientations and which u0 they probe:
 * l <= k: one bounded orientation, probe u0 = {} with eta = l.
 * k < l < 2k: peel G to its (k+1)-core H by counting, then decompose H's
   edges into k forests (a rejected edge's failed exchange search labels
-  the certificate's edges), orient away from the tree roots, and search
-  each of the first l - k classes by centroid decomposition on one engine:
-  gather each centroid c to a source, probe u0 = {c} with eta = l - k at
-  c's neighbours only, then delete c's edges and those between the pieces
-  c leaves, so each piece keeps only its own edges.  A piece with no
-  vertex left in the engine's (k+1)-core is skipped.
+  the certificate's edges).  Once they accept, a pair joined by more than
+  2k - l parallel edges is the certificate.  Otherwise orient away from
+  the tree roots, and search each of the first l - k classes by centroid
+  decomposition on one engine: gather each centroid c to a source, probe
+  u0 = {c} with eta = l - k at c's neighbours only, then delete c's edges
+  and those between the pieces c leaves, so each piece keeps only its own
+  edges.  A piece with no vertex left in the engine's (k+1)-core is
+  skipped.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
   (k, l+1) before accepting each edge uv.  The probe searches only the
   neighbours of u and v as sinks.
@@ -54,8 +56,8 @@ The piece-skip lemma, in the mid range: a minimal violating X with
 |X| >= 3 has k + 1 edges at each vertex, by the same count (X - v's bound
 k|X| - k - l is not clamped), so it lies in the (k+1)-core.  With no
 loops, only a pair joined by more than 2k - l parallel edges is left out;
-one O(m) pass per graph looks for one, and finding one turns the skip off.
-Without one, an empty core of G answers sparse with no class search.
+one O(m) pass per graph looks for one, and one found is the certificate,
+with no class search.  Without one, an empty core of G answers sparse.
 Otherwise each class search keeps the (k+1)-core of its live engine as its
 deletions shrink it, and skips a piece P, with its whole subtree, once no
 vertex of P is left in the core.  Once its crossing edges are deleted, P
@@ -82,14 +84,11 @@ lies in P, so it accepts; with uv it holds X's edges, so it rejects uv; and
 a tight set of H's prefix is tight in P, so its minimal one holding u and v
 is X again.  The argument uses (k,k)-tightness alone, so it holds whether or
 not a pair is joined by more than 2k - l parallel edges.  Once H's forests
-accept, with no such heavy pair, G is sparse iff H is (the core lemma);
-every vertex of H with an edge has k + 1 of them, so H is its own core and
-its counts are its degrees.  A class search that fails on H shows G is not
-sparse, but the set it returns is H's: the full query's maximal set in G's
-own forests may hold peeled vertices, and their centroids differ.  So when
-H is not all of G, the class searches re-run on G's forests, and the check
-returns the certificate they give.  A heavy pair sends the class searches
-to G's forests at once, with nothing skipped.
+accept, such a heavy pair violates and is returned.  Without one, G is
+sparse iff H is (the core lemma); every vertex of H with an edge has k + 1
+of them, so H is its own core and its counts are its degrees.  A set that
+violates in H violates in G, which holds H's edges, so a class search that
+fails on H returns G's certificate: it lies in the core.
 """
 from __future__ import annotations
 
@@ -98,7 +97,6 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from math import inf
 
 from .forests import _decompose
 from .graph import (
@@ -295,11 +293,8 @@ def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
     """Range k < l < 2k: forests, then class searches, over G's (k+1)-core H.
 
     The steps follow the core run above.  A rejection by H's forests is
-    returned as it is, heavy pair or not.  Then one count looks for a heavy
-    pair.  Without one, an empty H answers sparse and otherwise H's class
-    searches decide, but a failure on an H that is not G re-runs them on G's
-    forests, so that the certificate is G's own.  A heavy pair runs them on
-    G's forests at once.
+    returned as it is.  Then a heavy pair is the certificate.  Without one,
+    an empty H answers sparse, and otherwise H's class searches decide.
     """
     k, most = p.k, 2 * p.k - p.l
     counts, peeled = core_counts(g, k)  # counts[v] > 0 iff v lies in the (k+1)-core
@@ -311,29 +306,16 @@ def _mid(g: Graph, p: SparsityParams) -> Certificate | None:
         cert, fd = _decompose(h, k)  # validate_input has ruled out loops
         if cert is not None:  # G's first rejection, with G's certificate: both lie in H
             return make_certificate(g, p, cert.vertices, cert.induced_edges)
-    heavy = g.max_multiplicity() > most
-    if heavy:
-        logger.debug("a pair with more than %d parallel edges: the check runs on all %d edges",
-                     most, g.m)
-    elif not h.m:
+    pair, edges = g.heaviest_pair()
+    if edges > most:
+        logger.debug("pair %s is joined by %d parallel edges, more than %d", pair, edges, most)
+        return make_certificate(g, p, pair, edges)
+    if not h.m:
         logger.debug("sparse by the core: %d vertices peeled, no pair with more than %d "
                      "parallel edges", peeled, most)
         return None
-    else:
-        # Every vertex of H with an edge lies in H's own (k+1)-core: its count is its H-degree.
-        found = _classes(h, p, fd, counts, _edge_lists(h))
-        if found is None:
-            return None
-        if h is g:
-            return make_certificate(g, p, found)
-        logger.debug("a class search over the core fails: the check re-runs on all %d edges", g.m)
-    if h is not g:  # else H's forests serve: no class search has run on them
-        cert, fd = _decompose(g, k)
-        if cert is not None:
-            raise ContractError("G's forests reject an edge that the core's forests accept")
-    # No deletion lowers an infinite count, so with a heavy pair nothing is skipped.
-    core, adj = ([inf] * g.n, []) if heavy else (counts, _edge_lists(g))
-    found = _classes(g, p, fd, core, adj)
+    # Every vertex of H with an edge lies in H's own (k+1)-core: its count is its H-degree.
+    found = _classes(h, p, fd, counts, _edge_lists(h))
     return None if found is None else make_certificate(g, p, found)
 
 

@@ -41,6 +41,18 @@ def test_check_not_sparse(capsys, k4_file):
     assert payload["bound"] == 5
 
 
+def test_check_heavy_pair(capsys, tmp_path):
+    # K4 plus a doubled pendant edge at (2,3): the doubled pair is the certificate.
+    path = tmp_path / "heavy.txt"
+    k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    path.write_text(format_edge_list(Graph(5, k4 + ((0, 4), (4, 0)))))
+    code, out, _ = _run(capsys, ["check", "--k", "2", "--l", "3", str(path)])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["violating_set"] == [0, 4]
+    assert payload["induced_edges"] == 2 and payload["bound"] == 1
+
+
 def test_check_sparse(capsys, triangle_file):
     code, out, _ = _run(capsys, ["check", "--k", "2", "--l", "3", triangle_file])
     assert code == 0

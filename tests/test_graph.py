@@ -115,7 +115,12 @@ def test_validate_input_per_range():
     # A pair counts in either order; a loop's pair is (v, v).
     assert validate_input(Graph(3, ((1, 2), (2, 1))), SparsityParams(2, 4)) is not None
     mixed = Graph(3, ((2, 0), (1, 1), (0, 2), (1, 1), (2, 0)))
-    assert [g.max_multiplicity() for g in (Graph(0, ()), loop, parallel, mixed)] == [0, 1, 2, 3]
+    assert [g.heaviest_pair() for g in (Graph(0, ()), loop, parallel, mixed)] == \
+        [(None, 0), ((0, 0), 1), ((0, 1), 2), ((0, 2), 3)]
+    # Among ties the pair that first appears wins, in either order.
+    tie = Graph(4, ((3, 1), (0, 2), (2, 0), (1, 3), (0, 1)))
+    assert tie.heaviest_pair() == ((1, 3), 2)
+    assert Graph(4, tie.edges[1:] + tie.edges[:1]).heaviest_pair() == ((0, 2), 2)
 
 
 def test_verify_certificate():

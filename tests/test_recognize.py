@@ -15,7 +15,7 @@ from collections import Counter
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import klsparse
 from klsparse import (
@@ -603,25 +603,42 @@ def _planted_mid(rng: random.Random, k: int, l: int) -> Graph:
     return Graph(n, tuple((label[u], label[v]) for u, v in edges))
 
 
+def _core_graph(g: Graph, k: int) -> Graph:
+    """H, the edges of g's (k+1)-core in input order, on g's vertex ids."""
+    core = peel(g, k)[3]
+    return Graph(g.n, tuple((u, v) for u, v in g.edges if core[u] and core[v]))
+
+
+def _heaviest_pair(g: Graph) -> tuple[frozenset[int], int]:
+    """The pair joined by the most edges, the first in input order among ties, and its count."""
+    return (Counter(frozenset(e) for e in g.edges).most_common(1) or [(frozenset(), 0)])[0]
+
+
 def test_centroid_certificates_match_the_search_without_skips():
-    # Near-tight inputs the forests accept, each with a planted violation,
-    # so the centroid stage finds every certificate: the same set as the
-    # search that visits every piece, verdicts and sets alike.
+    # Near-tight inputs, each with a planted violation, whose forests over
+    # the (k+1)-core H accept: a pair joined by more than 2k - l edges is
+    # the certificate, and otherwise the centroid stage finds it, the same
+    # set as the search that visits every piece of H's forests.
     rng = random.Random(27)
     compared = 0
     for k, l in ((2, 3), (3, 4), (3, 5)):
-        for _ in range(150):
+        for _ in range(330):
             g = _planted_mid(rng, k, l)
-            cert, fd = forest_decomposition(g, k)
+            h = _core_graph(g, k)
+            cert, fd = forest_decomposition(h, k)
             if cert is not None:
+                continue
+            got = check_sparsity(g, k, l).certificate
+            pair, edges = _heaviest_pair(g)
+            if edges > 2 * k - l:
+                assert got.vertices == pair, (g, k, l)
                 continue
             want = None
             for i in range(l - k):
-                pairs = [g.edges[e] for e in fd.class_edges(i)]
+                pairs = [h.edges[e] for e in fd.class_edges(i)]
                 if want := _reference_centroid_search(fd.orientation.copy(), pairs, k, l):
                     break
-            assert want, (g, k, l)  # the planted set violates
-            got = check_sparsity(g, k, l).certificate
+            assert want, (g, k, l)  # the planted set violates, inside the core
             assert got is not None and got.vertices == frozenset(want), (g, k, l)
             compared += 1
     assert compared > 300, compared
@@ -651,20 +668,59 @@ def _mid_instances(draw):
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(_mid_instances())
 def test_core_run_matches_the_run_over_every_edge(case):
-    # The forests and class searches over the (k+1)-core give the verdict
-    # and the certificate of the run over every edge: a rejection lies in
-    # the core, and a class search that fails on a core short of G re-runs
-    # on G, since its set may leave out vertices hanging off the core.
+    # The forests and class searches over the (k+1)-core H give the verdict
+    # of the run over every edge.  A forest rejection lies in the core, so
+    # it is the same; past the forests a heavy pair is the certificate, and
+    # otherwise the class searches over H give the set they give on H alone.
     g, p = case
-    assert _mid(g, p) == _reference_mid(g, p)
+    got, want = _mid(g, p), _reference_mid(g, p)
+    assert (got is None) == (want is None)
+    pair, edges = _heaviest_pair(g)
+    if _decompose(g, p.k)[0] is not None:
+        assert got == want
+    elif edges > 2 * p.k - p.l:
+        assert got.vertices == pair and got.induced_edges == edges
+    else:
+        h = _core_graph(g, p.k)
+        assert got == _reference_mid(h, p)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_mid_instances())
+@example((Graph(5, K4.edges + ((0, 4),)), SparsityParams(2, 3)))
+def test_mid_builds_forests_at_most_once(case):
+    # One forest build, over the core: no check rebuilds them over all of G.
+    import klsparse.recognize as recognize
+    g, p = case
+    built = []
+    real = recognize._decompose
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recognize, "_decompose", lambda h, k: built.append(h) or real(h, k))
+        _mid(g, p)
+    assert len(built) <= 1
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_mid_instances())
+@example((Graph(5, K4.edges + ((0, 4), (4, 0))), SparsityParams(2, 3)))
+def test_mid_certificates_are_a_heavy_pair_or_lie_in_the_core(case):
+    # A minimal violating set with three or more vertices lies in the
+    # (k+1)-core; the one kind it leaves out is a pair joined by more than
+    # 2k - l parallel edges.
+    g, p = case
+    cert = _mid(g, p)
+    if cert is not None:
+        core = peel(g, p.k)[3]
+        assert (len(cert.vertices) == 2 and cert.induced_edges > 2 * p.k - p.l
+                or all(core[v] for v in cert.vertices)), (g, p, cert)
 
 
 def test_centroid_failures_are_logged(caplog):
     # A doubled path is not (2,2)-sparse, so centroid 1 cannot shed its
     # indegree; the planted set of the twelve-vertex example avoids the
     # first centroid, so the search fails one level down.  K4 is its own
-    # 3-core; with a pendant edge it is not G, so its failed class search
-    # re-runs on G, and a doubled pendant edge sends the check to all of G.
+    # 3-core; with a pendant edge its class search over the core returns K4,
+    # and a doubled pendant edge is its own certificate.
     doubled = Graph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2)))
     with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
         assert check_sparsity(K4, 2, 3).certificate.vertices == frozenset(range(4))
@@ -673,18 +729,17 @@ def test_centroid_failures_are_logged(caplog):
         pendant = Graph(5, K4.edges + ((0, 4),))
         assert check_sparsity(pendant, 2, 3).certificate.vertices == frozenset(range(4))
         assert "forests over the (k+1)-core: 6 of 7 edges, 1 vertices peeled" in caplog.text
-        assert "a class search over the core fails: the check re-runs on all 7 edges" in caplog.text
+        assert "re-run" not in caplog.text
         heavy = Graph(5, K4.edges + ((0, 4), (4, 0)))
-        assert check_sparsity(heavy, 2, 3).certificate.vertices == frozenset(range(5))
-        assert ("a pair with more than 1 parallel edges: the check runs on all 8 edges"
-                in caplog.text)
+        assert check_sparsity(heavy, 2, 3).certificate.vertices == {0, 4}
+        assert "pair (0, 4) is joined by 2 parallel edges, more than 1" in caplog.text
         assert _search(doubled, Orientation(doubled), ((0, 1), (1, 2)), 2, 3) == {0, 1, 2}
         fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
         assert _search(fig2, Orientation(fig2), FIG2_TREE_ARCS, 2, 3) == {1, 2, 3, 4}
     assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
     assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
     assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
-    assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 5
+    assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 3
     assert "forest class 0: 2 centroid probes, 3 edges deleted, deepest depth 1" in caplog.text
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import klsparse.recognize as recognize
 from klsparse import Graph, InputError, Orientation, check_sparsity, rooted_violation
+from klsparse.oracles import _PebbleGame
 from klsparse.rooted import rooted_search
 
 
@@ -298,15 +299,22 @@ def test_neighbour_sinks_decide_every_centroid_probe(monkeypatch):
     # edge to the centroid has k|X| - i(X) >= k > eta = l - k entering arcs,
     # so the search over the centroid's neighbours answers as the full query
     # on the whole engine does, the pieces not yet searched included.
+    # The inputs are near-tight bases, kept by the (k,l)-pebble game, with
+    # up to two random edges inserted: a random multigraph mostly ends at a
+    # heavy pair or a forest rejection, before any class search.
     probes = []  # (eta, failed) per probe
     monkeypatch.setattr(recognize, "rooted_search", _checked_against_full_query(probes))
     rng = random.Random(65)
-    for _ in range(12000):  # most pieces are skipped unprobed: no vertex in the live core
+    for _ in range(2000):  # most pieces are skipped unprobed: no vertex in the live core
         k = rng.randint(2, 3)
         l = rng.randint(k + 1, 2 * k - 1)
-        n = rng.randint(2, 12)
-        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, k * (n - 1)))]
-        check_sparsity(Graph(n, tuple(edges)), k, l)
+        n = rng.randint(6, 20)
+        game = _PebbleGame(n, k, l)
+        pairs = (tuple(rng.sample(range(n), 2)) for _ in range(k * n))
+        edges = [e for e in pairs if game.try_insert(*e)]
+        for _ in range(3):
+            check_sparsity(Graph(n, tuple(edges)), k, l)
+            edges.insert(rng.randint(0, len(edges)), tuple(rng.sample(range(n), 2)))
     failed = [eta for eta, local in probes if local]
     assert len(failed) > 300 and len(probes) - len(failed) > 1500
     assert set(failed) == {1, 2}
