@@ -16,9 +16,10 @@ stamps its visits.  ``gather`` (the pebble-game gather of Gabow and
 Westermann, *Forests, frames, and games*) moves indegree off a target set
 by reversing backward paths to spare vertices; when it stalls, the
 vertices that still reach the targets certify the obstruction.  The
-extended-range driver gathers in place before each insertion, and the
-mid-range centroid search gathers in place on one engine per forest class
-and deletes edges as its trees split.  The rooted query
+extended range's insertion loop gathers in place before each probe, and
+before an unprobed insertion whose ends are both at k, and the mid-range
+centroid search gathers in place on one engine per forest class and
+deletes edges as its trees split.  The rooted query
 (``rooted.rooted_search``) gathers each sink with u0 blocked and its root
 side as stops, logging the reversals, and ``_revert`` undoes them.  (A
 forest rejection needs no gather: its failed exchange search already holds

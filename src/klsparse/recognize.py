@@ -22,8 +22,10 @@ orientations and which u0 they probe:
   edges.  A piece with no vertex left in the engine's (k+1)-core is
   skipped.
 * 2k <= l < 3k: insert edges one at a time, probing u0 = {u, v} against
-  (k, l+1) before accepting each edge uv.  The probe searches only the
-  neighbours of u and v as sinks.
+  (k, l+1) before accepting an edge uv that a violating set can hold.  Only
+  a probe gathers u and v to sources, and it searches only their neighbours
+  as sinks.  Any other edge goes in as an arc into its end with the lower
+  indegree.
 In both, a failed probe runs the full query once, at the probe's eta, for
 the certificate.  Each driver returns its certificate or None.
 
@@ -47,10 +49,17 @@ The core lemma: a violating X minimal by inclusion, with |X| >= 4 in this
 range, keeps i(X - v) <= k|X| - k - l for each v in X, so v has k + 1
 edges in X, and X lies in the (k+1)-core.  Outside it only a 3-set can
 violate: a triangle at l = 3k - 2, two edges at a vertex at l = 3k - 1.
-Every violating set of the accepted prefix plus uv holds u and v, so uv is
-probed only if both ends lie in G's core or uv closes such a 3-set.  A
-skipped probe would pass, and probes revert the engine, so the first
-failing edge and its certificate stay the same.
+Every violating set of the accepted prefix plus uv holds u and v.  A
+minimal one Y with |Y| >= 4 has k + 1 edges at u and at v, uv one of
+them, so each end already has k accepted edges.  So uv is probed only if
+both ends lie in G's core and have k accepted edges each, or uv closes
+such a 3-set.  A skipped probe would pass, and probes revert the engine.
+An unprobed edge goes in as an arc into its end with the lower indegree.
+If both ends are at k, that end first gathers one unit away, which cannot
+stall: the stall set X would have i(X) = k|X|, and the accepted prefix is
+(k,2k)-sparse.  The full query's set does not depend on the orientation
+(see ``rooted``), so the first failing edge and its certificate stay the
+same.
 
 The piece-skip lemma, in the mid range: a minimal violating X with
 |X| >= 3 has k + 1 edges at each vertex, by the same count (X - v's bound
@@ -338,11 +347,15 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
 
     Edge uv is insertable iff the current subgraph has no set strictly
     containing {u, v} violating (k, l+1)-sparsity; a found set certifies
-    that the input graph violates (k, l).  By the locality lemma above the
-    probe searches only the neighbours of u and v; the full query runs
-    once, after a failed probe, for the certificate.  By the core lemma
-    above, an empty (k+1)-core, found by the counting peel, with no
-    violating 3-set answers sparse with no insertion.
+    that the input graph violates (k, l).  By the core lemma above, uv is
+    probed only if both ends lie in G's (k+1)-core with k accepted edges
+    each, or uv closes a violating 3-set, and an empty core, found by the
+    counting peel, with no violating 3-set answers sparse with no
+    insertion.  A probe gathers u and v to sources, and by the locality
+    lemma above searches only their neighbours; the full query runs once,
+    after a failed probe, for the certificate.  An unprobed edge enters the
+    end with the lower indegree, v on a tie, after a single gather of that
+    end to k - 1 if both are at k, so every indegree stays at most k.
     """
     k, l = p.k, p.l
     core, peeled = core_counts(g, k)  # core[v] > 0 iff v lies in the (k+1)-core
@@ -351,28 +364,41 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
                           or small == 2 and 2 * g.m == peeled):  # a matching
         logger.debug("sparse by the core: %d vertices peeled, no violating 3-set", peeled)
         return None
-    d = Orientation._from_lists(g.n, [], [])  # each edge enters a gathered source: indeg <= k
+    d = Orientation._from_lists(g.n, [], [])  # each arc enters an end below k: indeg <= k
+    indeg = d.indeg
     nbrs: list[list[int]] = [[] for _ in range(g.n)]  # the accepted subgraph
     eta = l + 1 - 2 * k
-    skipped = 0
+    outside = short = singles = 0
     failed = None
     for e, (u, v) in enumerate(g.edges):
-        if d.gather((u, v), k, 0) is not None:
-            raise ContractError("accepted subgraph lost (k,2k)-sparsity")
-        if (core[u] and core[v]
-                or small == 1 and nbrs[u] and nbrs[v] and not set(nbrs[u]).isdisjoint(nbrs[v])
-                or small == 2 and (nbrs[u] or nbrs[v])):
+        nu, nv = nbrs[u], nbrs[v]
+        if (core[u] and core[v] and len(nu) >= k and len(nv) >= k
+                or small == 1 and nu and nv and not set(nu).isdisjoint(nv)
+                or small == 2 and (nu or nv)):
+            if d.gather((u, v), k, 0) is not None:
+                raise ContractError("accepted subgraph lost (k,2k)-sparsity")
             u0 = frozenset((u, v))
-            sinks = sorted({*nbrs[u], *nbrs[v]})
+            sinks = sorted({*nu, *nv})
             if failed := rooted_search(d, u0, k, eta, sinks):
                 break
-        else:
-            skipped += 1  # the probe would pass: no violating set holds uv
+        else:  # the probe would pass: no violating set holds uv
+            if core[u] and core[v]:
+                short += 1
+            else:
+                outside += 1
+            if indeg[u] < indeg[v]:
+                u, v = v, u  # the arc goes into the less loaded end, v on a tie
+            if indeg[v] == k:  # both ends at k
+                singles += 1
+                if d.gather((v,), k, k - 1) is not None:
+                    raise ContractError("accepted subgraph lost (k,2k)-sparsity")
         d.add_edge(u, v)
         nbrs[u].append(v)
         nbrs[v].append(u)
-    logger.debug("insertion probes skipped: %d, with an end outside the (k+1)-core of %d "
-                 "vertices and in no violating 3-set", skipped, len(core) - core.count(0))
+    logger.debug("insertion probes skipped: %d with an end outside the (k+1)-core of %d "
+                 "vertices, %d with an end of fewer than k accepted edges, none closing a "
+                 "violating 3-set; %d single gathers",
+                 outside, len(core) - core.count(0), short, singles)
     if not failed:
         return None
     (sink,) = failed

@@ -114,6 +114,7 @@ def test_validate_input_per_range():
     assert validate_input(loop, SparsityParams(2, 4)) is not None
     # A pair counts in either order; a loop's pair is (v, v).
     assert validate_input(Graph(3, ((1, 2), (2, 1))), SparsityParams(2, 4)) is not None
+    assert validate_input(Graph(0, ()), SparsityParams(2, 4)) is None
     mixed = Graph(3, ((2, 0), (1, 1), (0, 2), (1, 1), (2, 0)))
     assert [g.heaviest_pair() for g in (Graph(0, ()), loop, parallel, mixed)] == \
         [(None, 0), ((0, 0), 1), ((0, 1), 2), ((0, 2), 3)]
@@ -121,6 +122,29 @@ def test_validate_input_per_range():
     tie = Graph(4, ((3, 1), (0, 2), (2, 0), (1, 3), (0, 1)))
     assert tie.heaviest_pair() == ((1, 3), 2)
     assert Graph(4, tie.edges[1:] + tie.edges[:1]).heaviest_pair() == ((0, 2), 2)
+
+
+def test_extended_validation_finds_loops_and_parallel_edges_in_one_pass():
+    # The extended range's one set of pair keys must agree with has_loop and
+    # has_parallel_edge: a loop alone, a parallel pair alone, both, neither.
+    p = SparsityParams(2, 5)
+    cases = {
+        Graph(4, ((0, 1), (1, 2), (3, 3))): True,
+        Graph(4, ((2, 3), (0, 1), (3, 2))): True,
+        Graph(4, ((1, 1), (0, 3), (3, 0), (1, 1))): True,
+        Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))): False,
+        Graph(1, ((0, 0),)): True,
+        Graph(0, ()): False,
+    }
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6)))
+        g = Graph(n, edges)
+        cases[g] = g.has_loop() or g.has_parallel_edge()
+    for g, bad in cases.items():
+        assert (validate_input(g, p) == "graph must be simple for 2k<=l<3k") == bad, g
+        assert validate_input(g, SparsityParams(2, 2)) is None
 
 
 def test_verify_certificate():

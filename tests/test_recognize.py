@@ -36,7 +36,7 @@ from klsparse import (
 )
 from klsparse.forests import _decompose
 from klsparse.oracles import _PebbleGame
-from klsparse.orient import peel
+from klsparse.orient import core_counts, peel
 from klsparse.recognize import _centroid_search, _high, _low, _mid
 from klsparse.rooted import rooted_search
 
@@ -190,13 +190,16 @@ def test_extended_range_boundary_cases(caplog):
 def test_insertion_probes_only_edges_a_violating_set_can_hold(caplog):
     # The cube is (2,4)-tight and is the 3-core; the edge to the pendant
     # vertex 8 has an end outside it and closes no triangle, so its probe
-    # is skipped.
+    # is skipped.  Of the cube's own edges only the last has two ends with
+    # two accepted edges each: a violating set of four or more vertices
+    # has three edges at each of its vertices, uv among them.
     cube = tuple((v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit)
     g = Graph(9, cube[:6] + ((0, 8),) + cube[6:])
     with caplog.at_level(logging.DEBUG, logger="klsparse.recognize"):
         assert check_sparsity(g, 2, 4).sparse
-    assert ("insertion probes skipped: 1, with an end outside the (k+1)-core of 8 vertices "
-            "and in no violating 3-set") in caplog.text
+    assert ("insertion probes skipped: 1 with an end outside the (k+1)-core of 8 vertices, "
+            "11 with an end of fewer than k accepted edges, none closing a violating 3-set; "
+            "0 single gathers") in caplog.text
 
 
 def _near_tight_extended(rng: random.Random, n: int, k: int, l: int) -> Graph:
@@ -241,6 +244,93 @@ def test_failed_insertion_is_the_first_violating_prefix(caplog):
                 assert failed == ([] if hi > g.m else [str(hi - 1)]), (k, l, g)
                 failures += hi <= g.m
     assert failures > 20, failures
+
+
+def _reference_high(g: Graph, p: SparsityParams) -> Certificate | None:
+    """The extended range's eager insertion loop: u and v become sources at every edge.
+
+    A probe is skipped only for an edge with an end outside G's (k+1)-core
+    that closes no violating 3-set; every accepted edge enters a source.
+    """
+    k, l = p.k, p.l
+    core, _ = core_counts(g, k)
+    small = l - 3 * k + 3  # 1: a triangle violates, 2: a 2-path does
+    d = Orientation._from_lists(g.n, [], [])
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    eta = l + 1 - 2 * k
+    for u, v in g.edges:
+        assert d.gather((u, v), k, 0) is None
+        if (core[u] and core[v]
+                or small == 1 and not set(nbrs[u]).isdisjoint(nbrs[v])
+                or small == 2 and (nbrs[u] or nbrs[v])):
+            u0 = frozenset((u, v))
+            if rooted_search(d, u0, k, eta, sorted({*nbrs[u], *nbrs[v]})):
+                return make_certificate(g, p, rooted_violation(d, u0, k, eta) | u0)
+        d.add_edge(u, v)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return None
+
+
+def _extended_instances(seed: int, count: int):
+    """(k, l, graph): planted violations and near-tight bases for every extended (k,l), k <= 3."""
+    rng = random.Random(seed)
+    for k, l in ((1, 2), (2, 4), (2, 5), (3, 6), (3, 7), (3, 8)):
+        for i in range(1, count + 1):
+            n = rng.randint(14, 40)
+            for g in (klsparse.generate(klsparse.GenSpec("planted-violation", n, k, l, i)),
+                      _near_tight_extended(rng, n, k, l)):
+                if g.m <= k * n:
+                    yield k, l, g
+
+
+def test_lazy_insertion_matches_the_eager_reference():
+    # Gathering only at a probe and the prefix-degree filter change neither
+    # the verdict nor the certificate: a skipped probe would pass, and the
+    # full query's set does not depend on the orientation.
+    violated = 0
+    for k, l, g in _extended_instances(31, 15):
+        cert = check_sparsity(g, k, l).certificate
+        assert cert == _reference_high(g, SparsityParams(k, l)), (k, l, g)
+        violated += cert is not None
+    assert violated > 60, violated
+
+
+def test_insertion_gathers_a_pair_only_at_a_probe(monkeypatch):
+    # Only a probe makes u and v sources.  Any other edge enters its end
+    # with the lower indegree, after a single gather of that end to k - 1 if
+    # both are at k, so every indegree stays at most k.
+    import klsparse.recognize as recognize
+    gather, add_edge, search = Orientation.gather, Orientation.add_edge, recognize.rooted_search
+    calls, probes = [], []
+
+    def counted_gather(d, targets, k, budget, **kw):
+        if "undo" not in kw:  # not a probe's own per-sink gather
+            calls.append((len(targets), budget))
+        return gather(d, targets, k, budget, **kw)
+
+    def checked_add_edge(d, u, v):
+        add_edge(d, u, v)
+        assert d.indeg[v] <= k  # the k of the graph being checked
+
+    def counted_search(d, u0, k, eta, sinks):
+        probes.append(u0)
+        return search(d, u0, k, eta, sinks)
+
+    monkeypatch.setattr(Orientation, "gather", counted_gather)
+    monkeypatch.setattr(Orientation, "add_edge", checked_add_edge)
+    monkeypatch.setattr(recognize, "rooted_search", counted_search)
+    edges = probed = singles = 0
+    for k, l, g in _extended_instances(32, 6):
+        calls.clear()
+        probes.clear()
+        check_sparsity(g, k, l)
+        assert calls.count((2, 0)) == len(probes)
+        assert set(calls) <= {(2, 0), (1, k - 1)}
+        edges += g.m
+        probed += len(probes)
+        singles += calls.count((1, k - 1))
+    assert probed < edges // 3 and singles > 0, (probed, edges, singles)
 
 
 def test_dispatch_and_short_circuit():

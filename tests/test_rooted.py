@@ -8,6 +8,7 @@ import klsparse.recognize as recognize
 from klsparse import Graph, InputError, Orientation, check_sparsity, rooted_violation
 from klsparse.oracles import _PebbleGame
 from klsparse.rooted import rooted_search
+from test_recognize import _near_tight_extended
 
 
 def _query(d, eta: int) -> set[int]:
@@ -278,17 +279,16 @@ def test_neighbour_sinks_decide_every_insertion_probe(monkeypatch):
     # (k,l)-sparse subgraph, a set avoiding them with fewer than
     # eta = l + 1 - 2k entering arcs must hold a neighbour of u or v, so the
     # driver's search over those sinks alone answers as the full query does.
+    # The inputs are near-tight bases, kept by the (k,l)-pebble game, with
+    # one random edge inserted: on a random graph most edges go unprobed,
+    # an end lying outside the (k+1)-core or with fewer than k accepted edges.
     probes = []  # (eta, failed) per probe
     monkeypatch.setattr(recognize, "rooted_search", _checked_against_full_query(probes))
     rng = random.Random(64)
-    for _ in range(2400):  # most edges go unprobed: an end lies outside the (k+1)-core
+    for _ in range(1000):
         k = rng.randint(1, 3)
         l = rng.randint(2 * k, 3 * k - 1)
-        n = rng.randint(3, 12)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        edges = [tuple(rng.sample(e, 2)) for e in pairs[: rng.randint(1, min(len(pairs), k * n))]]
-        check_sparsity(Graph(n, tuple(edges)), k, l)
+        check_sparsity(_near_tight_extended(rng, rng.randint(12, 30), k, l), k, l)
     failed = [eta for eta, local in probes if local]
     assert len(failed) > 300 and len(probes) - len(failed) > 1500
     assert set(failed) == {1, 2, 3}
