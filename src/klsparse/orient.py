@@ -21,7 +21,8 @@ before an unprobed insertion whose ends are both at k, and the mid-range
 centroid search gathers in place on one engine per forest class and
 deletes edges as its trees split.  The rooted query
 (``rooted.rooted_search``) gathers each sink with u0 blocked and its root
-side as stops, logging the reversals, and ``_revert`` undoes them.  (A
+side as stops, logging the reversals, and ``_revert`` undoes them; the
+first sink that stalls answers with its stall set.  (A
 forest rejection needs no gather: its failed exchange search already holds
 the stall set, see ``forests``.)
 """
@@ -332,17 +333,13 @@ def core_counts(g: Graph, kappa: int) -> tuple[list[int], int]:
     return count, count.count(0) - isolated
 
 
-def unreached(d: Orientation, seen: set[int], blocked: Iterable[int] = ()) -> set[int]:
-    """Vertices that no directed path from seen reaches without entering blocked.
-
-    The set seen is grown in place.
-    """
+def unreached(d: Orientation, seen: set[int]) -> set[int]:
+    """Vertices that no directed path from seen reaches; seen is grown in place."""
     out: list[list[int]] = [[] for _ in range(d.n)]
     for t, h in zip(d.tail, d.head):
         if h >= 0:  # not deleted
             out[t].append(h)
     queue = deque(seen)
-    seen.update(blocked)
     while queue:
         for v in out[queue.popleft()]:
             if v not in seen:

@@ -5,8 +5,8 @@ prescribed independent set u0 (|u0| = t) has all indegrees zero, a strict
 superset of u0 violating (k,l)-sparsity exists iff, after deleting u0,
 adding a root s, and wiring k - indeg(v) parallel arcs from s to every
 remaining vertex, some vertex set avoiding s has fewer than l - t*k
-entering arcs.  That digraph is never built: ``rooted_violation`` reads
-the root arcs off the orientation's spare indegrees and searches the
+entering arcs.  That digraph is never built: the rooted query (``rooted``)
+reads the root arcs off the orientation's spare indegrees and searches the
 orientation itself.  The three range drivers differ in how they produce the
 orientations and which u0 they probe:
 
@@ -26,15 +26,16 @@ orientations and which u0 they probe:
   a probe gathers u and v to sources, and it searches only their neighbours
   as sinks.  Any other edge goes in as an arc into its end with the lower
   indegree.
-In both, a failed probe runs the full query once, at the probe's eta, for
-the certificate.  Each driver returns its certificate or None.
+In both, a failed probe's stall set, the smallest set of fewest entering
+arcs that holds its first failing sink, is the certificate with u0 added.
+Each driver returns its certificate or None.
 
 The mid-range locality lemma: the k forests hold every edge, and each at
 most |X| - 1 inside a nonempty X, so i(X) <= k|X| - k in the engine, whose
 edges are a subset.  With c a source, X avoiding c has
 k|X| - i(X) - e(X, {c}) entering arcs; if no edge joins X to c that is at
 least k > eta.  So every set with fewer than eta entering arcs holds a
-neighbour of c: the probe fails iff the full query does.
+neighbour of c: the probe fails iff such a set exists.
 
 The extended-range locality lemma: let H be the accepted subgraph,
 simple and (k,l)-sparse, oriented so that u and v are sources, and let
@@ -57,9 +58,9 @@ such a 3-set.  A skipped probe would pass, and probes revert the engine.
 An unprobed edge goes in as an arc into its end with the lower indegree.
 If both ends are at k, that end first gathers one unit away, which cannot
 stall: the stall set X would have i(X) = k|X|, and the accepted prefix is
-(k,2k)-sparse.  The full query's set does not depend on the orientation
-(see ``rooted``), so the first failing edge and its certificate stay the
-same.
+(k,2k)-sparse.  A probe's set depends on the graph, u0 and the sink order
+alone, not on the orientation (see ``rooted``), so the first failing edge
+and its certificate stay the same.
 
 The piece-skip lemma, in the mid range: a minimal violating X with
 |X| >= 3 has k + 1 edges at each vertex, by the same count (X - v's bound
@@ -74,11 +75,10 @@ is a component of the engine, so its core is the engine's core on P: empty,
 and P holds no violating set, now or after any later deletion.  So no
 probe in P's subtree fails.  The other pieces' gathers and probes stay in
 their own components and see the same edges as without the skip, so the
-first failing probe is the same.  P's edges are never deleted, but they do
-not change the full query's answer either: P is disconnected from the
-rest, and each nonempty X in P has k|X| - i(X) >= min(k|X|, l) >= k
-> eta = l - k entering arcs, so no set with fewer than eta meets P.  The
-first failure and its certificate stay the same.
+first failing probe is the same.  P's edges are never deleted, but the
+failed probe's set cannot meet P: each of its vertices reaches the
+failing sink along the engine's arcs, and P is disconnected from the
+rest.  The first failure and its certificate stay the same.
 
 The mid-range core run: the forests and the class searches see only H,
 the edges of G's (k+1)-core in input order, on G's vertex ids.  H's
@@ -118,7 +118,7 @@ from .graph import (
     validate_input,
 )
 from .orient import Orientation, bounded_orientation, core_counts
-from .rooted import rooted_search, rooted_violation
+from .rooted import rooted_search
 
 logger = logging.getLogger(__name__)
 
@@ -160,7 +160,7 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
     lowest id whose largest remaining piece is at most half) gathered to a
     source and probed at its neighbours.  c's edges and the edges between
     the new pieces are deleted, so no edge leaves d twice.  Returns the stall
-    set of a failed gather or the full query's set after a failed probe.
+    set of a failed gather, or a failed probe's set with c added.
     It finds a violating set whenever d, k-indegree-bounded, holds one, X,
     on which the class induces a connected tree: the first centroid c to
     fall in X is gathered to a source, and X - {c} then has fewer than
@@ -268,13 +268,10 @@ def _centroid_search(d: Orientation, pairs, i: int, k: int, l: int,
         pieces = [piece(w) for w in tree[c] if side[w] >= 0]
         doomed = crossing(order)  # c's edges, all out of c now, and those between pieces
         sinks = list(dict.fromkeys(h for h, e in doomed if side[tails[e]] < 0))
-        if rooted_search(d, (c,), k, eta, sinks):
-            logger.debug("forest class %d fails at centroid %d, depth %d: a neighbour probe",
-                         i, c, depth)
-            found = rooted_violation(d, (c,), k, eta)
-            if not found:
-                raise ContractError(f"a neighbour of centroid {c} failed, the full query did not")
-            found.add(c)
+        if failed := rooted_search(d, (c,), k, eta, sinks):
+            logger.debug("forest class %d fails at centroid %d, depth %d: a neighbour probe "
+                         "at sink %d", i, c, depth, next(s for s in sinks if s in failed))
+            found = failed | {c}
             break
         deleted += delete(doomed)
         push([part for part in pieces if len(part) > 1], depth + 1)
@@ -352,8 +349,8 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
     each, or uv closes a violating 3-set, and an empty core, found by the
     counting peel, with no violating 3-set answers sparse with no
     insertion.  A probe gathers u and v to sources, and by the locality
-    lemma above searches only their neighbours; the full query runs once,
-    after a failed probe, for the certificate.  An unprobed edge enters the
+    lemma above searches only their neighbours; a failed probe's set, with
+    u and v added, is the certificate.  An unprobed edge enters the
     end with the lower indegree, v on a tie, after a single gather of that
     end to k - 1 if both are at k, so every indegree stays at most k.
     """
@@ -401,14 +398,9 @@ def _high(g: Graph, p: SparsityParams) -> Certificate | None:
                  outside, len(core) - core.count(0), short, singles)
     if not failed:
         return None
-    (sink,) = failed
-    logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks",
-                 e, u, v, eta, sinks.index(sink) + 1)
-    del nbrs, core  # freed before the full query builds its own O(n + m) lists
-    found = rooted_violation(d, u0, k, eta)
-    if not found:
-        raise ContractError(f"neighbour sink {sink} failed, the full query did not")
-    return make_certificate(g, p, found | u0)
+    logger.debug("insertion of edge %d (%d, %d) failed at eta=%d after %d sinks", e, u, v, eta,
+                 next(i for i, s in enumerate(sinks, 1) if s in failed))
+    return make_certificate(g, p, failed | u0)
 
 
 def check_sparsity(g: Graph, k: int, l: int) -> RecognitionResult:

@@ -15,13 +15,14 @@ Run as a script to regenerate or compare:
     python tests/test_golden.py --diff FILE   # instances that differ from a dump
 
 ``--dump`` on one checkout and ``--diff`` on another name the instances
-behind a moved digest.
+behind a moved digest, and end with one summary line per digest.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -112,6 +113,45 @@ def test_digests_are_unchanged():
     assert digests(records()) == pinned
 
 
+RECORD = re.compile(r"(\S+) (\S+ k=\d+ l=\d+) sparse=(True|False)(?: \[([\d, ]*)\] .*)?")
+
+
+def _diff_summary(old: set[str], new: set[str]) -> list[str]:
+    """One line per digest: records moved, verdicts changed, and how moved certificates compare.
+
+    A record is matched to the old one of the same digest, instance and
+    (k,l).  Certificates are compared as vertex sets: smaller, larger or
+    the same size, and how many are a strict subset of the old one.
+    """
+    def parse(lines):
+        records = {}
+        for line in lines:
+            key, name, sparse, cert = RECORD.fullmatch(line).groups()
+            records[key, name] = sparse, None if cert is None else set(map(int, cert.split(",")))
+        return records
+
+    before, after = parse(old), parse(new)
+    lines = []
+    for key in sorted({key for key, _ in before} | {key for key, _ in after}):
+        names = [name for k, name in after if k == key]
+        moved = flipped = smaller = larger = subset = 0
+        for name in names:
+            if (was := before.get((key, name))) == (now := after[key, name]):
+                continue
+            moved += 1
+            if was is None or was[0] != now[0]:
+                flipped += 1
+            elif now[1] is not None:
+                smaller += len(now[1]) < len(was[1])
+                larger += len(now[1]) > len(was[1])
+                subset += now[1] < was[1]
+        same = moved - flipped - smaller - larger
+        lines.append(f"{key}: {moved} of {len(names)} records moved, {flipped} verdicts changed; "
+                     f"certificates {smaller} smaller, {larger} larger, {same} the same size, "
+                     f"{subset} a strict subset of the old one")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     groups = records()
     if argv[:1] == ["--write"]:
@@ -128,6 +168,8 @@ def main(argv: list[str]) -> int:
             print("-", line)
         for line in sorted(new - old):
             print("+", line)
+        for summary in _diff_summary(old, new):
+            print(summary)
         return 1 if old != new else 0
     pinned = json.loads(DIGESTS.read_text())
     moved = 0

@@ -617,16 +617,18 @@ def _reference_gather(d: Orientation, targets, k: int, budget: int) -> set[int] 
 
 
 def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -> set[int]:
-    """``rooted.rooted_search`` with a fresh parent dict and deque per search."""
+    """``rooted.rooted_search`` with a fresh parent dict and deque per search, and no counting.
+
+    A failing sink's last search, which finds no path, visits its stall set.
+    """
     if eta == 0:
         return set()
-    n, tails, heads, indeg, inc = d.n, d.tail, d.head, d.indeg, d.inc
+    tails, heads, indeg, inc = d.tail, d.head, d.indeg, d.inc
     rooted: set[int] = set()
     flow: set[int] = set()
     out_flow: dict[int, list[int]] = {}
     spent: dict[int, int] = {}
-    local = sinks is not None
-    for sink in sinks if local else range(n if eta > 1 else 0):
+    for sink in range(d.n) if sinks is None else sinks:
         if k - indeg[sink] >= eta or sink in u0:
             continue
         flow.clear()
@@ -649,7 +651,9 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
                             start = v
                             break
                         queue.append(v)
-            if start < 0 or path == eta:
+            if start < 0:
+                return set(parent)
+            if path == eta:
                 break
             if start not in rooted:
                 spent[start] = spent.get(start, 0) + 1
@@ -663,36 +667,8 @@ def _reference_rooted_search(d: Orientation, u0, k: int, eta: int, sinks=None) -
                     flow.add(e)
                     out_flow.setdefault(node, []).append(e)
                 node = nxt
-        if start < 0:
-            break
         rooted.add(sink)
-    else:
-        if local or eta > 1:
-            return set()
-    if local:
-        return {sink}
-    seen = rooted | {v for v in range(n) if v not in u0 and k - indeg[v] > spent.get(v, 0)}
-    return _reference_unreached(d, seen, u0, flow)
-
-
-def _reference_unreached(d: Orientation, seen: set[int], blocked, flow) -> set[int]:
-    """The forward reach of ``_reference_rooted_search``: edges in flow are followed head to tail."""
-    out: list[list[int]] = [[] for _ in range(d.n)]
-    for e, (a, b) in enumerate(zip(d.tail, d.head)):
-        if b < 0:
-            continue  # deleted
-        if e in flow:
-            out[b].append(a)
-        else:
-            out[a].append(b)
-    queue = deque(seen)
-    seen.update(blocked)
-    while queue:
-        for v in out[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return set(range(d.n)) - seen
+    return set()
 
 
 def _random_directed_multigraph(rng: random.Random) -> tuple[Graph, list[bool]]:
@@ -761,8 +737,8 @@ def _fresh(d: Orientation) -> Orientation:
 def test_scratch_arrays_are_per_engine():
     # Gathers and queries interleaved on one engine, on a copy taken midway
     # and after deletes and additions answer as a fresh engine does: the
-    # stall set, the failing sink and the full query's set depend on the
-    # directed graph alone, not on what earlier searches left in the arrays.
+    # stall set and the rooted query's set depend on the directed graph
+    # alone, not on what earlier searches left in the arrays.
     rng = random.Random(15)
     for _ in range(120):
         g, rev = _random_directed_multigraph(rng)

@@ -162,11 +162,20 @@ def test_high_range_examples():
 def test_failed_insertion_probe_is_logged(caplog):
     # Closing the triangle 0-2-4 at (2,4): sink 3, a pendant neighbour of 0
     # with spare indegree, settles at once; sink 4 has no root path.
+    # The certificate is sink 4's stall set {4} with u and v.
     g = Graph(5, ((2, 4), (0, 4), (0, 3), (0, 2)))
     with caplog.at_level(logging.DEBUG, logger="klsparse"):
         res = check_sparsity(g, 2, 4)
     assert res.certificate.vertices == frozenset({0, 2, 4})
     assert "insertion of edge 3 (0, 2) failed at eta=1 after 2 sinks" in caplog.text
+    # Nine edges on six vertices, one more than (2,4) allows: the last edge's
+    # stall set holds all four sinks, and the failing one is the first of
+    # them in order that lies in it, sink 0.
+    g = Graph(6, ((2, 4), (0, 3), (3, 5), (0, 1), (1, 4), (0, 2), (2, 5), (1, 5), (3, 4)))
+    with caplog.at_level(logging.DEBUG, logger="klsparse"):
+        res = check_sparsity(g, 2, 4)
+    assert res.certificate.vertices == frozenset(range(6))
+    assert "insertion of edge 8 (3, 4) failed at eta=1 after 1 sinks" in caplog.text
 
 
 def test_extended_range_boundary_cases(caplog):
@@ -264,8 +273,8 @@ def _reference_high(g: Graph, p: SparsityParams) -> Certificate | None:
                 or small == 1 and not set(nbrs[u]).isdisjoint(nbrs[v])
                 or small == 2 and (nbrs[u] or nbrs[v])):
             u0 = frozenset((u, v))
-            if rooted_search(d, u0, k, eta, sorted({*nbrs[u], *nbrs[v]})):
-                return make_certificate(g, p, rooted_violation(d, u0, k, eta) | u0)
+            if failed := rooted_search(d, u0, k, eta, sorted({*nbrs[u], *nbrs[v]})):
+                return make_certificate(g, p, failed | u0)
         d.add_edge(u, v)
         nbrs[u].append(v)
         nbrs[v].append(u)
@@ -287,7 +296,7 @@ def _extended_instances(seed: int, count: int):
 def test_lazy_insertion_matches_the_eager_reference():
     # Gathering only at a probe and the prefix-degree filter change neither
     # the verdict nor the certificate: a skipped probe would pass, and the
-    # full query's set does not depend on the orientation.
+    # probe's set does not depend on the orientation.
     violated = 0
     for k, l, g in _extended_instances(31, 15):
         cert = check_sparsity(g, k, l).certificate
@@ -474,6 +483,14 @@ def test_only_bounded_orientation_peels_with_arcs():
     assert _package_callers("peel") == {"orient.bounded_orientation"}
 
 
+def test_no_driver_runs_the_full_rooted_query():
+    # A failed probe's stall set is its certificate, so no driver asks the
+    # checked global query, and the forward reach serves the bounded
+    # orientation's stall set alone.
+    assert _package_callers("rooted_violation") == set()
+    assert _package_callers("unreached") == {"orient.bounded_orientation"}
+
+
 def test_public_surface_is_pinned():
     # Adding or removing a public name is an edit to this list.
     assert sorted(klsparse.__all__) == [
@@ -646,8 +663,8 @@ def _reference_centroid_search(d: Orientation, pairs, k: int, l: int) -> set[int
         pieces = [piece(w) for w in tree[c] if side[w] >= 0]
         doomed = crossing(order)
         sinks = list(dict.fromkeys(h for h, e in doomed if side[tails[e]] < 0))
-        if rooted_search(d, (c,), k, eta, sinks):
-            return rooted_violation(d, (c,), k, eta) | {c}
+        if failed := rooted_search(d, (c,), k, eta, sinks):
+            return failed | {c}
         for _, e in doomed:
             d.delete(e)
         stack += [part for part in reversed(pieces) if len(part) > 1]
@@ -738,16 +755,20 @@ def test_centroid_certificates_match_the_search_without_skips():
 def _mid_instances(draw):
     """A loop-free multigraph at a mid pair of the golden grid: a dense part, vertices hung off it.
 
-    The dense part has up to k edges per vertex, parallel pairs included.
+    The dense part is a near-tight base, kept by the (k,l)-pebble game,
+    plus one or two random pairs, parallel ones included, so it often
+    violates with neither a forest rejection nor a heavy pair, and the
+    class searches decide.
     Each vertex hung off it joins earlier vertices by 1 to k edges, so the
     peel removes it.  Vertices are relabelled and the edges shuffled.
     """
     k, l = draw(st.sampled_from(((2, 3), (3, 4), (3, 5))))
-    c = draw(st.integers(2, 5))
+    c = draw(st.integers(4, 12))
     n = c + draw(st.integers(0, 4))
     pair = st.tuples(st.integers(0, c - 1), st.integers(1, c - 1)).map(
         lambda ud: (ud[0], (ud[0] + ud[1]) % c))
-    edges = draw(st.lists(pair, max_size=k * c))
+    edges = _near_tight(c, k, l, draw(st.integers(0, 2 ** 32))) + draw(
+        st.lists(pair, min_size=1, max_size=2))
     for v in range(c, n):
         edges += [(v, w) for w in draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=k))]
     label = draw(st.permutations(range(n)))
@@ -826,9 +847,9 @@ def test_centroid_failures_are_logged(caplog):
         assert _search(doubled, Orientation(doubled), ((0, 1), (1, 2)), 2, 3) == {0, 1, 2}
         fig2 = Graph(12, FIG2_ARCS + ((1, 4),))
         assert _search(fig2, Orientation(fig2), FIG2_TREE_ARCS, 2, 3) == {1, 2, 3, 4}
-    assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe" in caplog.text
+    assert "forest class 0 fails at centroid 0, depth 0: a neighbour probe at sink 1" in caplog.text
     assert "forest class 0 fails at centroid 1, depth 0: the gather stalls" in caplog.text
-    assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe" in caplog.text
+    assert "forest class 0 fails at centroid 4, depth 1: a neighbour probe at sink 3" in caplog.text
     assert caplog.text.count("forest class 0: 1 centroid probes, 0 edges deleted") == 3
     assert "forest class 0: 2 centroid probes, 3 edges deleted, deepest depth 1" in caplog.text
 
@@ -855,9 +876,9 @@ def test_planted_mid_range_scaling(k, l):
 
 @pytest.mark.parametrize("k, l", [(3, 7), (3, 8)])
 def test_planted_extended_range_scaling(k, l):
-    # Every insertion probe searches only the neighbours of u and v, and the
-    # full query runs once, for the certificate; a probe over all n sinks
-    # makes the check O(nm), a ratio above 4 here.  A (3,8) check takes
+    # Every insertion probe searches only the neighbours of u and v, and a
+    # failed probe's set is the certificate; a probe over all n sinks makes
+    # the check O(nm), a ratio above 4 here.  A (3,8) check takes
     # about a millisecond, so the sizes are interleaved and the collector
     # is off, as for the stars below.
     graphs = [klsparse.generate(klsparse.GenSpec("planted-violation", n, k, l, seed))
@@ -1085,8 +1106,9 @@ def test_descending_path_forest_check_is_linear():
     start = time.perf_counter()
     assert check_sparsity(Graph(n, tuple((i + 1, i) for i in range(n - 1))), 1, 1).sparse
     # A loop at 0 leaves no spare vertex on the path: n edges on n vertices.
+    # The peel directs the path away from 0, so sink 0 fails with its loop alone.
     path = tuple((i + 1, i) for i in range(n - 1)) + ((0, 0),)
-    assert check_sparsity(Graph(n + 1, path), 1, 1).certificate.vertices == frozenset(range(n))
+    assert check_sparsity(Graph(n + 1, path), 1, 1).certificate.vertices == frozenset({0})
     assert time.perf_counter() - start < 10
 
 

@@ -46,7 +46,11 @@ def _violation_exists_brute(d, eta: int) -> bool:
 
 
 def _reference_violation(d, eta: int) -> set[int]:
-    """The global per-sink search: a fresh flow and forward searches from the root."""
+    """The global per-sink search: a fresh flow and forward searches from the root.
+
+    The first sink short of eta paths gives the vertices that still reach
+    it in the residual network: the smallest sink side of a minimum cut.
+    """
     if eta == 0:
         return set()
     n, arcs, root = d
@@ -78,7 +82,16 @@ def _reference_violation(d, eta: int) -> set[int]:
                         parent[v] = (i, False)
                         queue.append(v)
             if sink not in seen:
-                return set(range(n)) - seen
+                closure, queue = {sink}, deque([sink])
+                while queue:
+                    u = queue.popleft()
+                    back = [arcs[i][0] for i in in_arcs[u] if flow[i] < arcs[i][2]]
+                    back += [arcs[i][1] for i in out_arcs[u] if flow[i] > 0]
+                    for v in back:
+                        if v not in closure:
+                            closure.add(v)
+                            queue.append(v)
+                return closure
             node = sink
             while node != root:
                 i, forward = parent[node]
@@ -169,21 +182,23 @@ def test_monotonicity_in_eta():
 
 def test_same_set_as_global_search():
     # r=0, t=1, a=2, b=3, c=4, d=5, e=6: the shortest path r-a-b-t comes first,
-    # and t's second path r-c-b-a-d-e-t must cancel the flow on a->b.
+    # and t's second path r-c-b-a-d-e-t must cancel the flow on a->b.  Then
+    # sink a fails: {a} and {a, d, e} have one entering arc, and the answer
+    # is the smaller.
     cancelling = [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1), (4, 3, 1),
                   (2, 5, 1), (5, 6, 1), (6, 1, 1)]
     d = (7, cancelling, 0)
-    assert _query(d, 2) == _reference_violation(d, 2) == {2, 5, 6}
+    assert _query(d, 2) == _reference_violation(d, 2) == {2}
     # Counting puts vertices above 1 on the root side before any search
     # (5, 6, 3; 6, 5, 4; 5, 4), and sink 1 fails anyway: the answer is still
-    # its maximal minimum cut.  In the last, 3 fails too, and only 3 has an
-    # arc from the root side.
+    # its smallest minimum cut.  In the last, {1} and {1, 2} have one
+    # entering arc each, and 3 fails too: only 3 has an arc from the root side.
     counted = [((7, [(0, 5, 2), (5, 6, 2), (6, 3, 1), (5, 3, 1), (3, 1, 1), (1, 2, 2),
                      (2, 1, 1), (6, 4, 1), (2, 4, 1)], 0), 2, {1, 2}),
                ((7, [(0, 6, 3), (6, 5, 2), (0, 5, 1), (5, 4, 3), (4, 1, 1), (6, 2, 1),
                      (1, 2, 1), (2, 1, 2), (1, 3, 2), (3, 2, 1)], 0), 3, {1, 2, 3}),
                ((6, [(0, 5, 2), (5, 4, 2), (4, 3, 1), (4, 2, 1), (1, 2, 1), (2, 1, 1)], 0),
-                2, {1, 2})]
+                2, {1})]
     for d, eta, expected in counted:
         assert _query(d, eta) == _reference_violation(d, eta) == expected
     rng = random.Random(62)
@@ -203,12 +218,30 @@ def _cut(d: Orientation, u0, k: int, xs) -> int:
                        if d.head[e] in xs and d.tail[e] not in xs and d.tail[e] not in u0)
 
 
+def _smallest_minimum_cut(d: Orientation, u0, k: int, eta: int, sinks) -> set[int]:
+    """By enumeration: the first sink below eta, the intersection of its minimum-count sets.
+
+    The sets hold the sink and avoid u0; a sink in u0 is skipped.
+    """
+    for sink in sinks:
+        if sink in u0:
+            continue
+        others = [v for v in range(d.n) if v != sink and v not in u0]
+        sides = [{sink, *xs} for r in range(len(others) + 1)
+                 for xs in itertools.combinations(others, r)]
+        low = min(_cut(d, u0, k, xs) for xs in sides)
+        if low < eta:
+            return set.intersection(*(xs for xs in sides if _cut(d, u0, k, xs) == low))
+    return set()
+
+
 def test_two_sources_and_a_loop():
     # u0 = {0, 1}; 2 gets both of its arcs from u0, 3 a loop and an arc from 0.
+    # {2}, {3} and {2, 3} have no entering arc, and 2 is the lowest sink.
     d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
-    assert _cut(d, {0, 1}, 2, {2, 3}) == 0
-    assert rooted_violation(d, {0, 1}, 2, 1) == rooted_violation(d, {0, 1}, 2, 2) == {2, 3}
-    # Random orientations: the lowest failing sink's maximal minimum cut.
+    assert _cut(d, {0, 1}, 2, {2, 3}) == _cut(d, {0, 1}, 2, {2}) == 0
+    assert rooted_violation(d, {0, 1}, 2, 1) == rooted_violation(d, {0, 1}, 2, 2) == {2}
+    # Random orientations: the lowest failing sink's smallest minimum cut.
     rng = random.Random(63)
     for _ in range(300):
         n, k = rng.randint(3, 7), rng.randint(1, 3)
@@ -217,15 +250,39 @@ def test_two_sources_and_a_loop():
         d = Orientation(Graph(n, tuple(edges)))
         k = max(k, d.max_indegree())
         eta = rng.randint(1, 3)
-        expected = set()
-        for sink in range(2, n):
-            sides = [set(xs) | {sink} for r in range(n - 2)
-                     for xs in itertools.combinations(set(range(2, n)) - {sink}, r)]
-            low = min(_cut(d, {0, 1}, k, xs) for xs in sides)
-            if low < eta:
-                expected = set().union(*(xs for xs in sides if _cut(d, {0, 1}, k, xs) == low))
-                break
+        expected = _smallest_minimum_cut(d, {0, 1}, k, eta, range(n))
         assert rooted_violation(d, {0, 1}, k, eta) == expected, (n, edges, k, eta)
+
+
+def test_answer_is_the_first_failing_sinks_smallest_minimum_cut():
+    # Random engines on at most 9 vertices, loops and parallel edges
+    # included, some edges deleted and any u0: the global query and a
+    # search over given sinks, in their order, return the intersection of
+    # the first failing sink's minimum-count sets, the set fixed by the
+    # graph.  Each edge enters its less loaded end, so most vertices sit
+    # at k = the largest indegree and many sets hold more than their sink.
+    rng = random.Random(66)
+    failed = larger = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        indeg, rev = [0] * n, []
+        for u, v in edges:
+            rev.append(indeg[u] < indeg[v])
+            indeg[u if rev[-1] else v] += 1
+        d = Orientation(Graph(n, tuple(edges)), rev)
+        for e in rng.sample(range(len(edges)), len(edges) // 8):
+            d.delete(e)
+        u0 = set(rng.sample(range(n), rng.randint(0, min(2, n - 1))))
+        k = max(d.max_indegree(), 1)
+        eta = rng.randint(1, 3)
+        sinks = rng.sample(range(n), rng.randint(0, n))
+        for order, found in ((range(n), rooted_violation(d, u0, k, eta)),
+                             (sinks, rooted_search(d, u0, k, eta, sinks))):
+            assert found == _smallest_minimum_cut(d, u0, k, eta, order), (n, edges, u0, k, eta)
+            failed += bool(found)
+            larger += len(found) > 1
+    assert failed > 400 and larger > 60, (failed, larger)
 
 
 def test_indegree_above_k_is_an_input_error():
@@ -255,11 +312,15 @@ def test_non_integer_k_or_eta_is_an_input_error():
     assert rooted_violation(d, {0}, 2, True) == set()  # bool is an int
 
 
-def test_given_sinks_decide_without_a_certificate():
+def test_given_sinks_return_the_failing_sinks_stall_set():
     d = Orientation(Graph(5, ((0, 2), (1, 2), (3, 3), (0, 3), (2, 4))))
     assert rooted_search(d, {0, 1}, 2, 1, [4, 3, 2]) == {3}  # 4 is spare, 3 fails
     assert rooted_search(d, {0, 1}, 2, 1, [4]) == set()
     assert rooted_search(d, {0, 1}, 2, 1, []) == set()
+    # Sink 4's one arc comes from 2, whose two come from u0: {2, 4} has
+    # k|X| - i(X) - e(u0, X) = 4 - 1 - 2 = 1 < eta = 2, and {4} alone has 2.
+    d = Orientation(Graph(5, ((0, 2), (1, 2), (2, 4), (3, 4))))
+    assert rooted_search(d, {0, 1}, 2, 2, [4]) == {2, 4}
 
 
 def _checked_against_full_query(probes):
