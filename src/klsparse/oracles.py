@@ -242,7 +242,11 @@ def _planted(rng: random.Random, n: int, p: SparsityParams) -> list[tuple[int, i
             s_min += 1
     if n < s_min:
         raise ParameterError(f"planted violation needs n >= {s_min} for (k, l) = ({p.k}, {p.l})")
-    size = rng.randint(s_min, min(n, s_min + 3))
+    # A simple graph on s vertices holds s(s-1)/2 edges, so past s_min only
+    # the sizes that can hold k*s - l + 1 are drawn; where none is skipped,
+    # the choice is the draw of randint over the same range.
+    size = rng.choice([s for s in range(s_min, min(n, s_min + 3) + 1)
+                       if p.t < 2 or s * (s - 1) // 2 > p.k * s - p.l])
 
     # Sparse base: greedy pebble filtering of random candidate edges.
     game = _PebbleGame(n, p.k, p.l)

@@ -29,7 +29,6 @@ the stall set, see ``forests``.)
 from __future__ import annotations
 
 import logging
-from collections import deque
 from itertools import compress
 from typing import Container, Iterable
 
@@ -222,11 +221,13 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
 
     A stall set has no spare vertex and no entering arc, so no later path,
     which starts at a spare vertex, touches it, and a flip raises only its
-    spare end.  The end state is a maximum flow: the set X of vertices that
-    no spare vertex reaches has no entering arc, every overloaded vertex
-    and no spare one, so its excess i(X) - kappa*|X| is the most any set
-    can have, and every set with that excess lies inside X.  Isolated
-    vertices are spare, so they never enter it.
+    spare end.  At the end the union X of the stall sets is the set of
+    vertices that reach a vertex left above kappa, and it is the
+    certificate: its excess i(X) - kappa*|X| is the most any set can have,
+    and every set with that excess holds each vertex left above kappa, no
+    spare vertex and no entering arc, so it holds X.  A peeled vertex has
+    out-arcs only to vertices peeled before it, so no gather enters one:
+    X lies in the (kappa+1)-core, and isolated vertices never enter it.
     """
     kappa = integer(kappa, "kappa")
     if kappa < 1:
@@ -246,19 +247,18 @@ def bounded_orientation(g: Graph, kappa: int) -> tuple[Certificate | None, Orien
     indeg = d.indeg
     over = [v for v in core if indeg[v] > kappa]
     excess = sum(indeg[v] - kappa for v in over)
-    stalled: set[int] = set()  # the vertices above kappa in a stall set
+    stalled: set[int] = set()  # the union of the stall sets
     for v in over:
         if v not in stalled and (stall := d.gather((v,), kappa, kappa)) is not None:
-            stalled.update(w for w in stall if indeg[w] > kappa)
+            stalled |= stall
     left = [v for v in over if indeg[v] > kappa]
     gathered = excess - sum(indeg[v] - kappa for v in left)
     if left:
-        hoffman = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
         logger.debug("indegree bound %d fails: %d vertices peeled, a core of %d, %d vertices "
                      "above it at the start, %d units gathered, %d left above it: violating "
                      "set of %d vertices", kappa, peeled, len(core), len(over), gathered,
-                     len(left), len(hoffman))
-        return make_certificate(g, SparsityParams(kappa, 0), hoffman), None
+                     len(left), len(stalled))
+        return make_certificate(g, SparsityParams(kappa, 0), stalled), None
     logger.debug("indegree bound %d met: %d vertices peeled, a core of %d, %d vertices above "
                  "it at the start, %d units gathered",
                  kappa, peeled, len(core), len(over), gathered)
@@ -332,17 +332,3 @@ def core_counts(g: Graph, kappa: int) -> tuple[list[int], int]:
                     stack.append(w)
     return count, count.count(0) - isolated
 
-
-def unreached(d: Orientation, seen: set[int]) -> set[int]:
-    """Vertices that no directed path from seen reaches; seen is grown in place."""
-    out: list[list[int]] = [[] for _ in range(d.n)]
-    for t, h in zip(d.tail, d.head):
-        if h >= 0:  # not deleted
-            out[t].append(h)
-    queue = deque(seen)
-    while queue:
-        for v in out[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return {v for v in range(d.n) if v not in seen}

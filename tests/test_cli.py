@@ -130,6 +130,20 @@ def test_orient_output(capsys, triangle_file, k4_file):
     assert json.loads(out)["violating_set"] == [0, 1, 2, 3]
 
 
+def test_orient_certificate_leaves_out_peeled_vertices(capsys, tmp_path):
+    # K4 plus the pendant edge (3,4) and a loop at 5 fails kappa = 1.  The
+    # pendant vertex and the loop vertex are peeled, so the violating set is
+    # K4 alone.
+    path = tmp_path / "k4-pendant.txt"
+    k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    path.write_text(format_edge_list(Graph(6, k4 + ((3, 4), (5, 5)))))
+    code, out, _ = _run(capsys, ["orient", "--kappa", "1", str(path)])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["violating_set"] == [0, 1, 2, 3]
+    assert payload["induced_edges"] == 6 and payload["bound"] == 4
+
+
 @pytest.mark.parametrize("command", ["decompose", "orient"])
 def test_kappa_below_one_is_a_parameter_error(capsys, tmp_path, command):
     path = tmp_path / "path.txt"

@@ -38,7 +38,7 @@ from klsparse import (
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 RANGES = ("low", "mid", "extended")
-STAGES = (("short-circuit", "phases", "rooted"), ("short-circuit", "forest", "centroid"),
+STAGES = (("short-circuit", "orientation", "rooted"), ("short-circuit", "forest", "centroid"),
           ("short-circuit", "insertion"))
 
 
@@ -78,7 +78,7 @@ def _stage(g: Graph, k: int, l: int) -> str:
     if g.m > k * g.n:
         return "short-circuit"
     if t == 0:
-        return "phases" if bounded_orientation(g, k)[0] is not None else "rooted"
+        return "orientation" if bounded_orientation(g, k)[0] is not None else "rooted"
     if t == 1:
         return "forest" if forest_decomposition(g, k)[0] is not None else "centroid"
     return "insertion"

@@ -117,6 +117,19 @@ def test_planted_violation_not_sparse():
             assert verify_certificate(g, p, res.certificate)
 
 
+def test_planted_violation_fits_simple_graphs_at_4_10():
+    # At (4,10) a simple graph on 4 or 5 vertices cannot hold the 7 or 11
+    # edges a violation needs, so those sizes are never drawn.
+    p = SparsityParams(4, 10)
+    for n in range(5, 41):
+        for seed in range(20):
+            g = generate(GenSpec("planted-violation", n, 4, 10, seed))
+            assert not g.has_loop() and not g.has_parallel_edge()
+            res = check_sparsity(g, 4, 10)
+            assert not res.sparse
+            assert verify_certificate(g, p, res.certificate)
+
+
 def test_generate_rejects_bad_specs():
     with pytest.raises(ParameterError):
         generate(GenSpec("unknown", 5, 2, 3, 0))

@@ -18,7 +18,7 @@ from klsparse import (
     induced_edge_count,
 )
 from klsparse.graph import SparsityParams, make_certificate
-from klsparse.orient import core_counts, peel, unreached
+from klsparse.orient import core_counts, peel
 from klsparse.rooted import rooted_search, rooted_violation
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -187,15 +187,15 @@ def test_bounded_orientation_matches_brute_force():
 
 
 def test_isolated_vertices_stay_out_of_the_certificate():
-    # K4 violates at kappa = 1; the pendant vertex 4 and the loop at 5 keep
-    # the excess, so the maximal maximizer takes them, but never a vertex
-    # without edges, wherever it sits.
+    # K4 violates at kappa = 1.  The pendant vertex 4 and the loop at 5 keep
+    # the excess, but both are peeled, so the least maximizer is K4 alone,
+    # and no vertex without edges joins it, wherever it sits.
     block = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (5, 5))
     alone, _ = bounded_orientation(Graph(6, block), 1)
     padded, _ = bounded_orientation(Graph(6006, tuple((u + 3000, v + 3000) for u, v in block)), 1)
-    assert alone.vertices == frozenset(range(6))
-    assert padded.vertices == frozenset(range(3000, 3006))
-    assert (padded.induced_edges, padded.bound) == (alone.induced_edges, alone.bound) == (8, 6)
+    assert alone.vertices == frozenset(range(4))
+    assert padded.vertices == frozenset(range(3000, 3004))
+    assert (padded.induced_edges, padded.bound) == (alone.induced_edges, alone.bound) == (6, 4)
 
 
 def test_isolated_vertices_cost_little():
@@ -222,9 +222,9 @@ def test_isolated_vertices_cost_little():
     assert best["check"] < 2.4 * best["lists"]
 
 
-def test_certificate_is_the_union_of_all_maximizers():
-    # The stalled gathers return the set no spare vertex reaches; it must be
-    # the maximal maximizer of i(X) - kappa|X|, a set fixed by the graph.
+def test_certificate_is_the_intersection_of_all_maximizers():
+    # The union of the stall sets must be the least maximizer of
+    # i(X) - kappa|X|, a set fixed by the graph.
     rng = random.Random(77)
     certificates = 0
     for _ in range(500):
@@ -238,8 +238,26 @@ def test_certificate_is_the_union_of_all_maximizers():
             assert cert is None
             continue
         certificates += 1
-        assert cert.vertices == frozenset(v for score, xs in scored if score == best for v in xs)
+        maximizers = [frozenset(xs) for score, xs in scored if score == best]
+        assert cert.vertices == frozenset.intersection(*maximizers)
     assert certificates > 40
+
+
+def test_certificate_lies_in_the_core():
+    # A peeled vertex has out-arcs only to vertices peeled before it, so no
+    # gather reaches one: every vertex of the certificate has edges into the
+    # (kappa+1)-core left after the peel.
+    rng = random.Random(45)
+    certificates = 0
+    for _ in range(600):
+        g = _random_multigraph(rng, n_max=30, m_max=80)
+        kappa = rng.randint(1, 3)
+        cert, _ = bounded_orientation(g, kappa)
+        if cert is not None:
+            certificates += 1
+            counts = peel(g, kappa)[3]
+            assert all(counts[v] for v in cert.vertices)
+    assert certificates > 300
 
 
 def test_phases_are_logged(caplog):
@@ -334,9 +352,10 @@ def _reference_bounded_orientation(g: Graph, kappa: int):
     Each phase layers the graph breadth-first backward over the in-lists,
     from every vertex above kappa to the first layer holding a spare vertex,
     then reverses a blocking set of edge-disjoint shortest paths (Even and
-    Tarjan 1975).  Its certificate, the set no spare vertex reaches, is the
-    maximal maximizer of i(X) - kappa|X| however the flow was found, so the
-    gathers must return the same one.
+    Tarjan 1975).  Its certificate, the vertices that reach a vertex left
+    above kappa, by a backward walk of its own, is the least maximizer of
+    i(X) - kappa|X| however the flow was found, so the gathers must return
+    the same one.
     """
     d = Orientation(g)
     edges, tails, heads, indeg = g.edges, d.tail, d.head, d.indeg
@@ -400,7 +419,12 @@ def _reference_bounded_orientation(g: Graph, kappa: int):
             inc[heads[e]].append(e)
         over = [v for v in over if indeg[v] > kappa]
     if over:
-        xs = unreached(d, {v for v, i in enumerate(indeg) if i < kappa})
+        xs, queue = set(over), deque(over)
+        while queue:
+            for e in d.inc[queue.popleft()]:
+                if tails[e] not in xs:
+                    xs.add(tails[e])
+                    queue.append(tails[e])
         return make_certificate(g, SparsityParams(kappa, 0), xs), None
     return None, d
 
